@@ -103,10 +103,14 @@ def _cmd_weights(M: Matroid, config: RunConfig) -> dict:
     return weight_report(M).to_json_dict()
 
 
-def _cmd_betti(M: Matroid, config: RunConfig) -> dict:
+def _betti_diagram(M: Matroid, config: RunConfig) -> betti_mod.BettiDiagram:
     if config.values:
-        return betti_mod.betti_values(M).to_json_dict()
-    return betti_mod.betti_support(M).to_json_dict()
+        return betti_mod.betti_values(M)
+    return betti_mod.betti_support(M)
+
+
+def _cmd_betti(M: Matroid, config: RunConfig) -> dict:
+    return _betti_diagram(M, config).to_json_dict()
 
 
 def _cmd_strands(M: Matroid, config: RunConfig) -> dict:
@@ -121,10 +125,14 @@ def _cmd_strands(M: Matroid, config: RunConfig) -> dict:
     }
 
 
-def _cmd_wei(M: Matroid, config: RunConfig) -> dict:
+def _cmd_wei(M: Matroid, config: RunConfig, cap: int | None = None) -> dict:
+    # M refers to its dual weakly: holding the dual here lets both checks
+    # share it, so the dual's ladder is built once
+    dual = M.dual()  # noqa: F841
+    cap = config.cap_subsets if cap is None else cap
     return {
-        "greedy": wei.check_wei_greedy(M, cap=config.cap_subsets),
-        "classical": wei.check_wei_classical(M, cap=config.cap_subsets),
+        "greedy": wei.check_wei_greedy(M, cap=cap),
+        "classical": wei.check_wei_classical(M, cap=cap),
     }
 
 
@@ -177,12 +185,8 @@ def _cmd_report(M: Matroid, config: RunConfig) -> dict:
     }
     if config.chain:
         doc["strands"] = _cmd_strands(M, config)
-    cap = min(config.cap_subsets, REPORT_WEI_CAP)
     try:
-        doc["wei"] = {
-            "greedy": wei.check_wei_greedy(M, cap=cap),
-            "classical": wei.check_wei_classical(M, cap=cap),
-        }
+        doc["wei"] = _cmd_wei(M, config, cap=min(config.cap_subsets, REPORT_WEI_CAP))
     except CapExceeded as exc:
         doc["wei"] = {"skipped": str(exc)}
     return doc
@@ -196,7 +200,8 @@ def run(config: RunConfig) -> tuple[int, str]:
         if config.command == "weights":
             doc = _cmd_weights(M, config)
         elif config.command == "betti":
-            doc = _cmd_betti(M, config)
+            diagram = _betti_diagram(M, config)
+            doc = diagram.to_json_dict()
         elif config.command == "strands":
             doc = _cmd_strands(M, config)
         elif config.command == "wei":
@@ -234,11 +239,6 @@ def run(config: RunConfig) -> tuple[int, str]:
 
     if config.fmt == "table":
         if config.command == "betti":
-            diagram = (
-                betti_mod.betti_values(M)
-                if config.values
-                else betti_mod.betti_support(M)
-            )
             return status, _betti_table_text(diagram)
         return status, _render_table(doc)
     return status, json.dumps(doc, indent=2, sort_keys=True) + "\n"

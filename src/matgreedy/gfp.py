@@ -58,7 +58,12 @@ class FieldMatrix:
         if not isinstance(field, PrimeField):
             field = PrimeField(field)
         self.field = field
-        data = np.array(rows, dtype=np.int64)
+        try:
+            data = np.array(rows, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise InputError(
+                "matrix rows must form a rectangular 2D array of integers"
+            ) from exc
         if data.ndim != 2:
             if data.size == 0:
                 data = data.reshape(0, 0)
@@ -106,8 +111,7 @@ class FieldMatrix:
         return FieldMatrix(self.field, work[:rank]), tuple(int(c) for c in piv)
 
     def rank(self) -> int:
-        work = self.data.copy()
-        return int(kernels.rank_mod_p(work, self.p))
+        return kernels.rref_mod_p(self.data.copy(), self.p)[0]
 
     def kernel_basis(self) -> FieldMatrix:
         """Basis of the right null space {v : self @ v = 0}, as matrix rows.
@@ -164,7 +168,10 @@ def parse_matrix(text: str) -> FieldMatrix:
         raise InputError(f"expected {rows} row lines, got {len(lines) - 1}")
     entries = []
     for ln in lines[1:]:
-        row = [int(x) for x in ln.split()]
+        try:
+            row = [int(x) for x in ln.split()]
+        except ValueError as exc:
+            raise InputError(f"bad matrix row {ln!r}: entries must be integers") from exc
         if len(row) != cols:
             raise InputError(f"row {ln!r} has {len(row)} entries, want {cols}")
         entries.append(row)

@@ -1,10 +1,9 @@
-"""Hot integer kernels: mod-p elimination, subset rank tables, circuit ranks.
+"""Batched integer kernels: mod-p elimination, column-subset ranks, circuit
+ranks and the inclusion-minimality filter.
 
-Every kernel is written as a plain numpy function and compiled with numba's
-``@njit`` when available.  Setting the environment variable
-``MATGREEDY_NUMBA=0`` (or running without numba installed) selects the
-uncompiled pure-numpy path; results are identical either way.  The
-``benchmarks/bench_kernels.py`` script times both paths.
+Each kernel treats a whole batch of subset masks with numpy array operations.
+Batches are split into chunks so that no temporary holds more than about
+CHUNK_ENTRIES 8-byte entries.
 
 Matrices are int64 row-major with entries reduced mod p (p < 2^16, so every
 intermediate product fits in int64).  Subset masks are uint64, label i on
@@ -13,31 +12,32 @@ bit i-1.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_ENABLED = os.environ.get("MATGREEDY_NUMBA", "1") != "0"
+# entries per temporary array of a chunked kernel (128 KB of int64/uint64)
+CHUNK_ENTRIES = 1 << 14
 
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+_POPCOUNT_BYTE = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
 
-@njit(cache=True)
+def popcounts(masks) -> np.ndarray:
+    """Number of set bits of each mask, as int64."""
+    masks = np.ascontiguousarray(masks, dtype=np.uint64)
+    return _POPCOUNT_BYTE[masks.view(np.uint8)].reshape(-1, 8).sum(axis=1)
+
+
+def distinct(masks) -> np.ndarray:
+    """Sorted distinct values of a mask array.
+
+    Used instead of np.unique, which imports numpy.ma (about 2 MB) on its
+    first call.
+    """
+    masks = np.sort(np.asarray(masks, dtype=np.uint64))
+    first = np.ones(masks.shape[0], dtype=bool)
+    first[1:] = masks[1:] != masks[:-1]
+    return masks[first]
+
+
 def rref_mod_p(a, p):
     """Reduce a in place to reduced row echelon form over GF(p).
 
@@ -45,74 +45,88 @@ def rref_mod_p(a, p):
     entry in column order.
     """
     rows, cols = a.shape
-    piv_cols = np.empty(cols, dtype=np.int64)
+    piv_cols = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pr = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr < 0:
+        nonzero = np.flatnonzero(a[r:, c])
+        if nonzero.size == 0:
             continue
+        pr = r + int(nonzero[0])
         if pr != r:
-            for j in range(cols):
-                t = a[r, j]
-                a[r, j] = a[pr, j]
-                a[pr, j] = t
-        inv = np.int64(1)
-        base = a[r, c] % p
-        e = p - 2
-        while e > 0:
-            if e & 1:
-                inv = (inv * base) % p
-            base = (base * base) % p
-            e >>= 1
-        for j in range(c, cols):
-            a[r, j] = (a[r, j] * inv) % p
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for j in range(c, cols):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        piv_cols[r] = c
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        a[:] = (a - factors[:, None] * a[r]) % p
+        piv_cols.append(c)
         r += 1
-    return r, piv_cols[:r]
+    return r, np.array(piv_cols, dtype=np.int64)
 
 
-@njit(cache=True)
-def rank_mod_p(a, p):
-    """Rank of a over GF(p).  Destroys a; uses cross-multiplied forward elimination."""
-    rows, cols = a.shape
-    r = 0
+def _batch_rank(x, p):
+    """Ranks over GF(p) of a stack of matrices x (batch, rows, cols); destroys x.
+
+    Forward elimination, one column at a time for the whole stack: a matrix
+    with a pivot in the column swaps it up to its next echelon row and clears
+    the rows below by cross-multiplication, which keeps the rank.
+    """
+    batch, rows, cols = x.shape
+    rank = np.zeros(batch, dtype=np.int64)
+    every = np.arange(batch)
+    row_idx = np.arange(rows)
     for c in range(cols):
-        if r == rows:
-            break
-        pr = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr < 0:
+        unused = row_idx >= rank[:, None]
+        avail = unused & (x[:, :, c] != 0)
+        has = avail.any(axis=1)
+        if not has.any():
             continue
-        if pr != r:
-            for j in range(c, cols):
-                t = a[r, j]
-                a[r, j] = a[pr, j]
-                a[pr, j] = t
-        piv = a[r, c]
-        for i in range(r + 1, rows):
-            f = a[i, c]
-            if f != 0:
-                for j in range(c, cols):
-                    a[i, j] = (piv * a[i, j] - f * a[r, j]) % p
-        r += 1
-    return r
+        target = np.minimum(rank, rows - 1)
+        piv = np.where(has, avail.argmax(axis=1), target)
+        prow = x[every, piv, c:]
+        x[every, piv, c:] = x[every, target, c:]
+        x[every, target, c:] = prow
+        factors = np.where((row_idx > rank[:, None]) & has[:, None], x[:, :, c], 0)
+        rest = x[:, :, c:]
+        rest *= np.where(has, prow[:, 0], 1)[:, None, None]
+        rest -= factors[:, :, None] * prow[:, None, :]
+        rest %= p
+        rank += has
+    return rank
 
 
-@njit(cache=True)
+def column_ranks(mat, masks, p):
+    """Rank over GF(p) of the columns of mat selected by each mask
+    (bit j <-> column j), as an int64 array.
+
+    mat is brought to reduced echelon form first, which keeps the rank of
+    every column subset.  A selected pivot column is then a unit vector:
+    it adds one to the rank and clears its row, so only the selected free
+    columns, on the rows of unselected pivots, are left to eliminate.
+    """
+    a = np.array(mat, dtype=np.int64)
+    rank, piv = rref_mod_p(a, p)
+    free = np.ones(a.shape[1], dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    rest = a[:rank, free]
+    piv_bits = np.uint64(1) << piv.astype(np.uint64)
+    free_bits = np.uint64(1) << free.astype(np.uint64)
+    masks = np.asarray(masks, dtype=np.uint64)
+    out = popcounts(masks & np.bitwise_or.reduce(piv_bits, initial=np.uint64(0)))
+    if rest.size == 0:
+        return out
+    step = max(1, CHUNK_ENTRIES // rest.size)
+    for start in range(0, masks.shape[0], step):
+        chunk = masks[start : start + step, None]
+        open_rows = (chunk & piv_bits) == 0
+        chosen = (chunk & free_bits) != 0
+        x = np.where(open_rows[:, :, None] & chosen[:, None, :], rest, 0)
+        out[start : start + step] += _batch_rank(x, p)
+    return out
+
+
 def subset_ranks(mat, p):
     """Rank of every column-subset of mat over GF(p).
 
@@ -120,75 +134,59 @@ def subset_ranks(mat, p):
     columns are the set bits of m (bit j <-> column j).  Memory is 2^cols
     bytes, so callers cap cols.
     """
-    rows, cols = mat.shape
-    total = 1 << cols
-    out = np.empty(total, dtype=np.int8)
-    scratch = np.empty((rows, cols), dtype=np.int64)
-    for m in range(total):
-        k = 0
-        for j in range(cols):
-            if m & (1 << j):
-                for i in range(rows):
-                    scratch[i, k] = mat[i, j]
-                k += 1
-        out[m] = rank_mod_p(scratch[:, :k], p)
+    cols = mat.shape[1]
+    return column_ranks(mat, np.arange(1 << cols, dtype=np.uint64), p).astype(np.int8)
+
+
+def contains_any(masks, subsets):
+    """Flags: whether each mask contains at least one of the subsets."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    subsets = np.asarray(subsets, dtype=np.uint64)
+    out = np.zeros(masks.shape[0], dtype=bool)
+    if subsets.size == 0:
+        return out
+    step = max(1, CHUNK_ENTRIES // subsets.size)
+    for start in range(0, masks.shape[0], step):
+        outside = ~masks[start : start + step, None]
+        out[start : start + step] = ((subsets & outside) == 0).any(axis=1)
     return out
 
 
-@njit(cache=True)
 def circuit_ranks(masks, circuits, n):
     """Greedy rank of each query mask in a matroid given by its circuit masks.
 
     Elements are taken in ascending label order; a trial set stays independent
-    iff it contains no circuit.  Exchange property makes the order irrelevant.
+    iff it contains no circuit, and as the set before the trial is
+    independent only circuits through the new element can be contained.  The
+    exchange property makes the order irrelevant.
     """
-    out = np.empty(masks.shape[0], dtype=np.int64)
-    zero = np.uint64(0)
-    one = np.uint64(1)
-    for k in range(masks.shape[0]):
-        m = masks[k]
-        indep = zero
-        cnt = 0
-        for b in range(n):
-            bit = one << np.uint64(b)
-            if m & bit:
-                trial = indep | bit
-                dep = False
-                for ci in range(circuits.shape[0]):
-                    if circuits[ci] & ~trial == zero:
-                        dep = True
-                        break
-                if not dep:
-                    indep = trial
-                    cnt += 1
-        out[k] = cnt
-    return out
+    masks = np.asarray(masks, dtype=np.uint64)
+    circuits = np.asarray(circuits, dtype=np.uint64)
+    indep = np.zeros_like(masks)
+    for b in range(n):
+        bit = np.uint64(1) << np.uint64(b)
+        rows = np.flatnonzero(masks & bit)
+        through = circuits[(circuits & bit) != 0]
+        if rows.size and through.size:
+            rows = rows[~contains_any(indep[rows] | bit, through)]
+        indep[rows] |= bit
+    return popcounts(indep)
 
 
-@njit(cache=True)
 def filter_minimal(masks):
     """Keep-flags for the inclusion-minimal members of masks.
 
-    masks must be sorted ascending by (popcount, value); then any strict
-    superset appears after the sets it contains.
+    masks must be sorted ascending by (popcount, value); then a mask can only
+    contain masks before it.  Each popcount group is tested at once against
+    the kept masks of the smaller groups: containment is transitive, so this
+    gives the flags of a scan against every earlier mask.  A repeated mask
+    is dropped after its first copy.
     """
-    m = masks.shape[0]
-    keep = np.ones(m, dtype=np.bool_)
-    zero = np.uint64(0)
-    for i in range(m):
-        for j in range(i):
-            if keep[j] and masks[j] & ~masks[i] == zero:
-                keep[i] = False
-                break
+    masks = np.asarray(masks, dtype=np.uint64)
+    keep = np.ones(masks.shape[0], dtype=bool)
+    keep[1:] = masks[1:] != masks[:-1]
+    sizes = popcounts(masks)
+    starts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist()]
+    for lo, hi in zip(starts, starts[1:] + [masks.shape[0]]):
+        keep[lo:hi] &= ~contains_any(masks[lo:hi], masks[:lo][keep[:lo]])
     return keep
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of all kernels on tiny inputs."""
-    rref_mod_p(np.array([[1, 1], [0, 1]], dtype=np.int64), 2)
-    rank_mod_p(np.array([[1, 1], [0, 1]], dtype=np.int64), 2)
-    subset_ranks(np.array([[1, 0], [0, 1]], dtype=np.int64), 2)
-    circuit_ranks(
-        np.array([3], dtype=np.uint64), np.array([3], dtype=np.uint64), 2
-    )
-    filter_minimal(np.array([1, 3], dtype=np.uint64))

@@ -4,8 +4,9 @@ each nullity.
 Level 1 is the circuit set.  Level l is generated upward as unions of a
 level-(l-1) member with a circuit, filtered to nullity exactly l and then to
 inclusion-minimal members; every minimal nullity-l set arises this way, so
-the generation is complete.  A full-subset-scan oracle is kept alongside for
-cross-checking at small n.
+the generation is complete.  Each level's unions, nullities and minimality
+test are computed as whole arrays of masks.  A full-subset-scan oracle is
+kept alongside for cross-checking at small n.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -30,12 +32,22 @@ def _sort_key(mask: int) -> tuple[int, int]:
 
 def _minimal_members(masks) -> tuple[int, ...]:
     """Inclusion-minimal members of a collection of masks, sorted."""
-    ordered = sorted(set(masks), key=_sort_key)
-    if not ordered:
+    arr = kernels.distinct(masks)
+    if not arr.size:
         return ()
-    arr = np.array(ordered, dtype=np.uint64)
-    keep = kernels.filter_minimal(arr)
-    return tuple(m for m, k in zip(ordered, keep) if k)
+    arr = arr[np.argsort(kernels.popcounts(arr), kind="stable")]
+    return tuple(arr[kernels.filter_minimal(arr)].tolist())
+
+
+def _unions(prev: np.ndarray, circs: np.ndarray) -> np.ndarray:
+    """Distinct unions rho | c (rho in prev, c in circs) strictly above rho."""
+    parts = [np.zeros(0, dtype=np.uint64)]
+    step = max(1, kernels.CHUNK_ENTRIES // circs.size)
+    for start in range(0, prev.size, step):
+        rho = prev[start : start + step, None]
+        grown = rho | circs
+        parts.append(kernels.distinct(grown[grown != rho]))
+    return kernels.distinct(np.concatenate(parts))
 
 
 @dataclass(frozen=True)
@@ -83,22 +95,20 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
             )
         M._circuits = tuple(sorted(found, key=_sort_key))
         return M._circuits
-    found_list: list[int] = []
+    found = np.zeros(0, dtype=np.uint64)
     examined = 0
     max_size = min(M.n, M.full_rank + 1)
     for size in range(1, max_size + 1):
-        for comb in combinations(range(1, M.n + 1), size):
-            examined += 1
-            if examined > cap:
-                raise CapExceeded(
-                    f"circuit enumeration examined more than {cap} subsets"
-                )
-            mask = from_labels(comb)
-            if any(is_subset(f, mask) for f in found_list):
-                continue
-            if M.rank(mask) < size:
-                found_list.append(mask)
-    M._circuits = tuple(sorted(found_list, key=_sort_key))
+        examined += comb(M.n, size)
+        if examined > cap:
+            raise CapExceeded(f"circuit enumeration examined more than {cap} subsets")
+        sets = np.array(
+            [from_labels(c) for c in combinations(range(1, M.n + 1), size)],
+            dtype=np.uint64,
+        )
+        sets = sets[~kernels.contains_any(sets, found)]
+        found = np.concatenate([found, sets[M.ranks(sets) < size]])
+    M._circuits = tuple(sorted(found.tolist(), key=_sort_key))
     return M._circuits
 
 
@@ -116,25 +126,20 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
     levels: list[tuple[int, ...]] = []
     work = 0
     if t >= 1:
-        level1 = tuple(sorted(circs, key=_sort_key))
-        levels.append(level1)
-        prev = level1
+        levels.append(circs)
+        circ_arr = np.array(circs, dtype=np.uint64)
+        prev = circ_arr
         for lvl_idx in range(2, t + 1):
-            work += len(prev) * len(circs)
+            work += prev.size * circ_arr.size
             if work > cap:
                 raise CapExceeded(
                     f"ladder generation examined more than {cap} candidate unions"
                 )
-            candidates = set()
-            for rho in prev:
-                for c in circs:
-                    u = rho | c
-                    if u != rho:
-                        candidates.add(u)
-            exact = [u for u in candidates if M.nullity(u) == lvl_idx]
-            level = _minimal_members(exact)
+            candidates = _unions(prev, circ_arr)
+            nullity = kernels.popcounts(candidates) - M.ranks(candidates)
+            level = _minimal_members(candidates[nullity == lvl_idx])
             levels.append(level)
-            prev = level
+            prev = np.array(level, dtype=np.uint64)
     lad = CycleLadder(t=t, levels=tuple(levels))
     M._ladder = lad
     return lad
@@ -145,13 +150,10 @@ def bruteforce_ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
     if (1 << M.n) > cap:
         raise CapExceeded(f"2^{M.n} subsets exceed the cap {cap}")
     t = M.corank
-    by_nullity: dict[int, list[int]] = {i: [] for i in range(1, t + 1)}
-    for mask in range(1 << M.n):
-        nl = M.nullity(mask)
-        if nl >= 1:
-            by_nullity[nl].append(mask)
+    masks = np.arange(1 << M.n, dtype=np.uint64)
+    nullity = kernels.popcounts(masks) - M.ranks(masks)
     return CycleLadder(
-        t=t, levels=tuple(_minimal_members(by_nullity[i]) for i in range(1, t + 1))
+        t=t, levels=tuple(_minimal_members(masks[nullity == i]) for i in range(1, t + 1))
     )
 
 

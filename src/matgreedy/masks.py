@@ -1,8 +1,8 @@
 """Subsets of a ground set {1..n} as integer bit masks.
 
 Label i (1-based) occupies bit i-1.  Ground sets are capped at 64 elements
-so every subset fits in one machine word, which is what the numba kernels
-operate on.
+so every subset fits in one machine word, which is what the batched kernels
+operate on (numpy uint64 arrays).
 """
 
 from __future__ import annotations

@@ -2,13 +2,15 @@
 uniform, and duals.
 
 Every matroid is immutable after construction; rank queries are memoized per
-instance, and linear matroids on small ground sets precompute a full rank
-table with the subset_ranks kernel.  Labels are 1-based throughout.
+instance and can be asked for a whole batch of subsets at once, and linear
+matroids on small ground sets precompute a full rank table with the
+subset_ranks kernel.  Labels are 1-based throughout.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,11 +43,20 @@ class Matroid:
         self._cache: dict[int, int] = {}
         self._circuits: tuple[int, ...] | None = None
         self._ladder = None
+        # the matroid this one is the dual of, if it was built as one
+        self._dual_of: Matroid | None = None
+        self._dual_ref: weakref.ref | None = None
 
     # -- rank oracle ----------------------------------------------------
 
+    # a subclass defines _rank, _ranks or both; each defaults to the other
+
     def _rank(self, mask: int) -> int:
-        raise NotImplementedError
+        return int(self._ranks(np.array([mask], dtype=np.uint64))[0])
+
+    def _ranks(self, masks: np.ndarray) -> np.ndarray:
+        """Ranks of a uint64 array of in-range masks, as int64."""
+        return np.array([self._rank(m) for m in masks.tolist()], dtype=np.int64)
 
     def rank(self, mask: int) -> int:
         if mask & ~full_mask(self.n):
@@ -55,6 +66,26 @@ class Matroid:
             cached = self._rank(mask)
             self._cache[mask] = cached
         return cached
+
+    def ranks(self, masks) -> np.ndarray:
+        """Ranks of a batch of masks as an int64 array, in the given order.
+
+        The masks not yet memoized go to the rank kernel in one call.
+        """
+        masks = np.asarray(masks, dtype=np.uint64)
+        cache = self._cache
+        out = np.fromiter(
+            (cache.get(m, -1) for m in masks.tolist()), dtype=np.int64, count=masks.size
+        )
+        todo = out < 0
+        if todo.any():
+            missing = kernels.distinct(masks[todo])
+            if np.any(missing & ~np.uint64(full_mask(self.n))):
+                raise InputError("subset extends beyond the ground set")
+            found = self._ranks(missing)
+            cache.update(zip(missing.tolist(), found.tolist()))
+            out[todo] = found[np.searchsorted(missing, masks[todo])]
+        return out
 
     def nullity(self, mask: int) -> int:
         return popcount(mask) - self.rank(mask)
@@ -72,6 +103,22 @@ class Matroid:
         return self.n - self.full_rank
 
     def dual(self) -> "Matroid":
+        """The dual matroid; dual().dual() is self.
+
+        Calls share one dual, with its rank memo and ladder, while a caller
+        holds it.  Self refers to it only weakly, so the pair forms no
+        reference cycle and is freed by reference counting.
+        """
+        if self._dual_of is not None:
+            return self._dual_of
+        dual = self._dual_ref() if self._dual_ref is not None else None
+        if dual is None:
+            dual = self._build_dual()
+            dual._dual_of = self
+            self._dual_ref = weakref.ref(dual)
+        return dual
+
+    def _build_dual(self) -> "Matroid":
         return DualMatroid(self)
 
     # -- serialization ---------------------------------------------------
@@ -95,15 +142,21 @@ class LinearMatroid(Matroid):
         super().__init__(matrix.ncols)
         self.matrix = matrix
         self._table: np.ndarray | None = None
-        self._table_tried = False
+
+    def _rank_table(self) -> np.ndarray | None:
+        if self._table is None and self.n <= RANK_TABLE_MAX_N:
+            self._table = kernels.subset_ranks(self.matrix.data, self.p)
+        return self._table
 
     def _rank(self, mask: int) -> int:
-        if not self._table_tried and self.n <= RANK_TABLE_MAX_N:
-            self._table = kernels.subset_ranks(self.matrix.data.copy(), self.p)
-            self._table_tried = True
-        if self._table is not None:
-            return int(self._table[mask])
-        return self.matrix.column_submatrix(mask).rank()
+        table = self._rank_table()
+        return super()._rank(mask) if table is None else int(table[mask])
+
+    def _ranks(self, masks: np.ndarray) -> np.ndarray:
+        table = self._rank_table()
+        if table is None:
+            return kernels.column_ranks(self.matrix.data, masks, self.p)
+        return table[masks].astype(np.int64)
 
     @property
     def p(self) -> int:
@@ -148,9 +201,8 @@ class CircuitMatroid(Matroid):
         self._circuits = self.circuit_masks
         self._circ_arr = np.array(circs, dtype=np.uint64)
 
-    def _rank(self, mask: int) -> int:
-        arr = np.array([mask], dtype=np.uint64)
-        return int(kernels.circuit_ranks(arr, self._circ_arr, self.n)[0])
+    def _ranks(self, masks: np.ndarray) -> np.ndarray:
+        return kernels.circuit_ranks(masks, self._circ_arr, self.n)
 
     def to_descriptor(self) -> dict:
         return {
@@ -174,7 +226,7 @@ class UniformMatroid(Matroid):
     def _rank(self, mask: int) -> int:
         return min(popcount(mask), self.r)
 
-    def dual(self) -> "Matroid":
+    def _build_dual(self) -> "Matroid":
         return UniformMatroid(self.n - self.r, self.n)
 
     def to_descriptor(self) -> dict:
@@ -189,10 +241,16 @@ class DualMatroid(Matroid):
     def __init__(self, inner: Matroid):
         super().__init__(inner.n)
         self.inner = inner
+        self._dual_of = inner
+        inner._dual_ref = weakref.ref(self)
 
     def _rank(self, mask: int) -> int:
         comp = full_mask(self.n) & ~mask
         return popcount(mask) + self.inner.rank(comp) - self.inner.full_rank
+
+    def _ranks(self, masks: np.ndarray) -> np.ndarray:
+        comp = np.uint64(full_mask(self.n)) ^ masks
+        return kernels.popcounts(masks) + self.inner.ranks(comp) - self.inner.full_rank
 
     def to_descriptor(self) -> dict:
         return {"type": "dual", "of": self.inner.to_descriptor()}
@@ -254,62 +312,64 @@ def validate_axioms(M: Matroid, seed: int = 0, samples: int = 4096) -> AxiomRepo
     Exhaustive for n <= 12 via the local forms: monotone and submodular set
     functions are characterized by their one/two-element increments, so a
     clean local scan proves the global axioms.  Larger ground sets are
-    checked on randomly sampled subsets.
+    checked on randomly sampled subsets.  Each increment is tested for all
+    sets at once, elements of X included: those leave the rank unchanged and
+    so pass every check.
     """
     n = M.n
     exhaustive = n <= 12
     if exhaustive:
-        sets = range(1 << n)
+        sets = np.arange(1 << n, dtype=np.uint64)
+        rank_of = M.ranks(sets).__getitem__
     else:
         rng = np.random.default_rng(seed)
-        top = full_mask(n)
-        sets = sorted({int(x) & top for x in rng.integers(0, 1 << 63, samples)})
-    report = AxiomReport(n=n, exhaustive=exhaustive, checked_sets=0)
+        draws = rng.integers(0, 1 << 63, samples).astype(np.uint64)
+        sets = kernels.distinct(draws & np.uint64(full_mask(n)))
+        rank_of = M.ranks
+    report = AxiomReport(n=n, exhaustive=exhaustive, checked_sets=len(sets))
+    found = report.violations
+    rx, card = rank_of(sets), kernels.popcounts(sets)
+    bad = (rx < 0) | (rx > card)
+    for x, r, c in zip(sets[bad].tolist(), rx[bad].tolist(), card[bad].tolist()):
+        found.append(f"R1: r({to_labels(x)}) = {r} outside [0, {c}]")
+    sets, rx = sets[~bad], rx[~bad]
     bits = [1 << b for b in range(n)]
-    for x in sets:
-        report.checked_sets += 1
-        rx = M.rank(x)
-        card = popcount(x)
-        if not 0 <= rx <= card:
-            report.violations.append(
-                f"R1: r({to_labels(x)}) = {rx} outside [0, {card}]"
-            )
-            continue
-        outside = [b for b in bits if not x & b]
-        grown = {}
-        for b in outside:
-            r1 = M.rank(x | b)
-            grown[b] = r1
-            if r1 < rx:
-                report.violations.append(
-                    f"R2: r({to_labels(x | b)}) < r({to_labels(x)})"
-                )
-            if r1 > rx + 1:
-                report.violations.append(
-                    f"unit increase: r({to_labels(x | b)}) > r({to_labels(x)}) + 1"
-                )
-        for i, a in enumerate(outside):
-            for b in outside[i + 1 :]:
-                rab = M.rank(x | a | b)
-                if grown[a] + grown[b] < rab + rx:
-                    report.violations.append(
-                        f"R3: submodularity fails at X={to_labels(x)}, "
-                        f"a={to_labels(a)}, b={to_labels(b)}"
-                    )
+    grown = [rank_of(sets | np.uint64(b)) for b in bits]
+    for b, r1 in zip(bits, grown):
+        for x in sets[r1 < rx].tolist():
+            found.append(f"R2: r({to_labels(x | b)}) < r({to_labels(x)})")
+        for x in sets[r1 > rx + 1].tolist():
+            found.append(f"unit increase: r({to_labels(x | b)}) > r({to_labels(x)}) + 1")
+    for i, a in enumerate(bits):
+        for j in range(i + 1, n):
+            rab = rank_of(sets | np.uint64(a | bits[j]))
+            for x in sets[grown[i] + grown[j] < rab + rx].tolist():
+                at = f"X={to_labels(x)}, a={to_labels(a)}, b={to_labels(bits[j])}"
+                found.append(f"R3: submodularity fails at {at}")
                 # nullity supermodularity is the mirrored local inequality
-                na = popcount(x | a) - grown[a]
-                nb = popcount(x | b) - grown[b]
-                nab = popcount(x | a | b) - rab
-                nx = card - rx
-                if na + nb > nab + nx:
-                    report.violations.append(
-                        f"nullity supermodularity fails at X={to_labels(x)}, "
-                        f"a={to_labels(a)}, b={to_labels(b)}"
-                    )
+                found.append(f"nullity supermodularity fails at {at}")
     return report
 
 
 # -- JSON descriptors ------------------------------------------------------
+
+
+def _integer(value, what: str) -> int:
+    # bool is an int subclass; floats and numeric strings would be truncated
+    # or coerced by int(), so only JSON integers pass
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _integer_rows(value, what: str) -> list:
+    """A JSON list of lists of integers, checked entry by entry."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise InputError(f"{what} must be a list of integer lists")
+    for row in value:
+        for entry in row:
+            _integer(entry, f"{what} entry")
+    return value
 
 
 def from_descriptor(obj) -> Matroid:
@@ -324,11 +384,13 @@ def from_descriptor(obj) -> Matroid:
     kind = obj["type"]
     try:
         if kind == "circuits":
-            return from_circuits(int(obj["n"]), obj["circuits"])
+            circuits = _integer_rows(obj["circuits"], "circuits")
+            return from_circuits(_integer(obj["n"], "n"), circuits)
         if kind == "uniform":
-            return uniform(int(obj["r"]), int(obj["n"]))
+            return uniform(_integer(obj["r"], "r"), _integer(obj["n"], "n"))
         if kind == "linear":
-            mat = FieldMatrix(PrimeField(int(obj["p"])), obj["matrix"])
+            field = PrimeField(_integer(obj["p"], "p"))
+            mat = FieldMatrix(field, _integer_rows(obj["matrix"], "matrix"))
             role = obj.get("role", "parity_check")
             if role == "parity_check":
                 return from_parity_check(mat)

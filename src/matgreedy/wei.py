@@ -95,13 +95,19 @@ def _identity_report(n: int, left, right) -> dict:
     }
 
 
-def check_wei_greedy(M: Matroid, cap: int | None = None) -> dict:
-    """Bottom-up weights of M against top-down weights of the dual:
-    {e_i} and {n+1 - dual e-tilde_j} must partition {1..n}."""
+def _capped_dual(M: Matroid, cap: int | None) -> Matroid:
+    """The dual, with both ladders built under cap when one is given."""
     dual = M.dual()
     if cap is not None:
         ladder(M, cap=cap)
         ladder(dual, cap=cap)
+    return dual
+
+
+def check_wei_greedy(M: Matroid, cap: int | None = None) -> dict:
+    """Bottom-up weights of M against top-down weights of the dual:
+    {e_i} and {n+1 - dual e-tilde_j} must partition {1..n}."""
+    dual = _capped_dual(M, cap)
     e, _ = greedy_bottom_up(M)
     et_dual, _ = greedy_top_down(dual)
     return _identity_report(M.n, list(e), list(et_dual))
@@ -109,10 +115,7 @@ def check_wei_greedy(M: Matroid, cap: int | None = None) -> dict:
 
 def check_wei_classical(M: Matroid, cap: int | None = None) -> dict:
     """Same partition identity for the generalized Hamming weights."""
-    dual = M.dual()
-    if cap is not None:
-        ladder(M, cap=cap)
-        ladder(dual, cap=cap)
+    dual = _capped_dual(M, cap)
     d = hamming_weights(M)
     d_dual = hamming_weights(dual)
     return _identity_report(M.n, list(d), list(d_dual))

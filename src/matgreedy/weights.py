@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .ladder import CycleLadder, is_cycle, ladder
+from .ladder import is_cycle, ladder
 from .masks import is_subset, popcount, to_labels
 from .matroid import Matroid
 
@@ -28,80 +28,53 @@ def hamming_weights(M: Matroid) -> tuple[int, ...]:
     return tuple(popcount(level[0]) for level in lad.levels)
 
 
-def _frontier_up(lad: CycleLadder) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bottom-up sweep; returns (profile, witness chain)."""
-    if lad.t == 0:
+def _frontier(levels, follows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sweep over levels in the given order; follows(prev, cur) says whether
+    cur may come after prev in a chain.  Returns the profile in sweep order
+    and a witness chain from the last level back to the first."""
+    if not levels:
         return (), ()
-    level1 = lad.level(1)
-    d1 = popcount(level1[0])
-    frontier = [m for m in level1 if popcount(m) == d1]
-    parent: dict[tuple[int, int], int | None] = {(1, m): None for m in frontier}
-    profile = [d1]
-    for l in range(2, lad.t + 1):
+    first = levels[0]
+    frontier = [m for m in first if popcount(m) == popcount(first[0])]
+    profile = [popcount(first[0])]
+    links: list[dict[int, int]] = []
+    for level in levels[1:]:
         best: int | None = None
         achievers: list[int] = []
-        for mu in lad.level(l):  # sorted by (cardinality, mask)
+        back: dict[int, int] = {}
+        for mu in level:  # sorted by (cardinality, mask)
             card = popcount(mu)
             if best is not None and card > best:
                 break
             for sigma in frontier:
-                if is_subset(sigma, mu):
+                if follows(sigma, mu):
                     best = card
                     achievers.append(mu)
-                    parent[(l, mu)] = sigma
+                    back[mu] = sigma
                     break
-        assert best is not None, "every ladder member has a cover"
+        assert best is not None, "every ladder member links to the next level"
         profile.append(best)
         frontier = achievers
+        links.append(back)
     chain = [min(frontier)]
-    for l in range(lad.t, 1, -1):
-        chain.append(parent[(l, chain[-1])])
-    chain.reverse()
-    return tuple(profile), tuple(chain)
-
-
-def _frontier_down(lad: CycleLadder) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Top-down sweep; returns (profile, witness chain), both bottom-first."""
-    if lad.t == 0:
-        return (), ()
-    top = lad.level(lad.t)
-    dt = popcount(top[0])
-    frontier = [m for m in top if popcount(m) == dt]
-    child: dict[tuple[int, int], int | None] = {(lad.t, m): None for m in frontier}
-    profile = [dt]
-    for l in range(lad.t - 1, 0, -1):
-        best: int | None = None
-        achievers: list[int] = []
-        for tau in lad.level(l):
-            card = popcount(tau)
-            if best is not None and card > best:
-                break
-            for sigma in frontier:
-                if is_subset(tau, sigma):
-                    best = card
-                    achievers.append(tau)
-                    child[(l, tau)] = sigma
-                    break
-        assert best is not None, "every ladder member contains a lower one"
-        profile.append(best)
-        frontier = achievers
-    chain = [min(frontier)]
-    for l in range(1, lad.t):
-        chain.append(child[(l, chain[-1])])
-    profile.reverse()
+    for back in reversed(links):
+        chain.append(back[chain[-1]])
     return tuple(profile), tuple(chain)
 
 
 def greedy_bottom_up(M: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Lex-minimal cardinality profile over maximal ladder chains, plus one
     witness chain realizing it."""
-    return _frontier_up(ladder(M))
+    profile, chain = _frontier(ladder(M).levels, is_subset)
+    return profile, chain[::-1]
 
 
 def greedy_top_down(M: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Revlex-minimal profile (rightmost coordinate compared first, smaller
-    wins), plus one witness chain."""
-    return _frontier_down(ladder(M))
+    wins), plus one witness chain; both bottom-first."""
+    levels = ladder(M).levels[::-1]
+    profile, chain = _frontier(levels, lambda upper, lower: lower & ~upper == 0)
+    return profile[::-1], chain
 
 
 def greedy_cez(M: Matroid) -> tuple[tuple[int, ...], tuple[tuple[int | None, int], ...]]:

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matgreedy import kernels
 from matgreedy.codes import LinearCode
 from matgreedy.gfp import FieldMatrix
 from matgreedy.matroid import (
@@ -33,11 +32,6 @@ M23_CIRCUITS = (
     [tuple(range(1, 9)), tuple(range(5, 13)), (1, 2, 3, 4, 9, 10, 11, 12)]
     + [c for c in combinations(range(13, 24), 9)]
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from matgreedy import betti as betti_mod
 from matgreedy.cli import RunConfig, main, run
 from matgreedy.errors import InputError
 from tests.conftest import FIXTURES
@@ -177,6 +178,40 @@ def test_table_format():
     )
     assert status == 0
     assert "i\\j" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"type": "circuits", "n": "abc", "circuits": [[1, 2]]}',
+        '{"type": "circuits", "n": 4.7, "circuits": [[1, 2]]}',
+        '{"type": "linear", "p": 2, "matrix": [[1, 0, 1], [1, 1]]}',
+        '{"type": "circuits", "n": 3, "circuits": "12"}',
+        "generator\n3 1 3\n1 x 2\n",
+    ],
+    ids=["n-string", "n-float", "ragged-matrix", "circuits-string", "code-residue"],
+)
+def test_malformed_input_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["weights", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_betti_table_computes_values_once(monkeypatch):
+    calls = []
+    real = betti_mod.betti_values
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(betti_mod, "betti_values", counting)
+    status, out = run(RunConfig(command="betti", input_path=TERNARY84, fmt="table", values=True))
+    assert status == 0 and "i\\j" in out
+    assert len(calls) == 1
 
 
 def test_validate_rejects_non_matroid_circuits(tmp_path):

@@ -1,0 +1,161 @@
+"""Batched kernels against plain-Python references, and the batched ladder
+against the exhaustive-scan oracle on a seeded corpus of larger matroids."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matgreedy import kernels
+from matgreedy.gfp import FieldMatrix
+from matgreedy.ladder import bruteforce_ladder, circuits, ladder
+from matgreedy.masks import popcount
+from matgreedy.matroid import from_circuits, from_descriptor, from_parity_check
+from tests.conftest import corpus_small
+
+
+def minimal_reference(ordered: list[int]) -> list[bool]:
+    """Pairwise scan: a mask is kept when no earlier mask lies inside it."""
+    return [
+        not any(ordered[j] & ~ordered[i] == 0 for j in range(i))
+        for i in range(len(ordered))
+    ]
+
+
+def greedy_rank_reference(mask: int, circs: list[int], n: int) -> int:
+    """Greedy basis growth on Python ints, testing every circuit."""
+    indep = 0
+    for b in range(n):
+        bit = 1 << b
+        if mask & bit and not any(c & ~(indep | bit) == 0 for c in circs):
+            indep |= bit
+    return popcount(indep)
+
+
+def by_size(masks) -> list[int]:
+    return sorted(masks, key=lambda m: (popcount(m), m))
+
+
+def u64(masks) -> np.ndarray:
+    return np.array(list(masks), dtype=np.uint64)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=200))
+def test_filter_minimal_matches_pairwise_scan(masks):
+    ordered = by_size(masks)  # repeats kept: only the first copy survives
+    assert kernels.filter_minimal(u64(ordered)).tolist() == minimal_reference(ordered)
+
+
+def test_filter_minimal_batch_over_many_chunks():
+    rng = np.random.default_rng(5)
+    ordered = by_size(set(int(x) for x in rng.integers(1, 1 << 20, size=2000)))
+    kept = kernels.filter_minimal(u64(ordered))
+    assert kept.tolist() == minimal_reference(ordered)
+    # some popcount group tested against the kept smaller masks needs more
+    # than two chunks of CHUNK_ENTRIES pairs
+    sizes = [popcount(m) for m in ordered]
+    pairs = [
+        sizes.count(s) * sum(k for k, z in zip(kept.tolist(), sizes) if z < s)
+        for s in set(sizes)
+    ]
+    assert max(pairs) > 2 * kernels.CHUNK_ENTRIES
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(1, (1 << n) - 1), max_size=12),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=60),
+        )
+    )
+)
+def test_circuit_ranks_match_greedy_growth(case):
+    n, circs, masks = case
+    got = kernels.circuit_ranks(u64(masks), u64(circs), n)
+    assert got.tolist() == [greedy_rank_reference(m, circs, n) for m in masks]
+
+
+def test_circuit_ranks_batch_over_many_chunks():
+    rng = np.random.default_rng(6)
+    n = 16
+    circs = [int(x) for x in rng.integers(1, 1 << n, size=40)]
+    # each bit's containment test covers about half of the masks in chunks
+    # of CHUNK_ENTRIES // (circuits through the bit) rows
+    masks = [0, (1 << n) - 1] + [int(x) for x in rng.integers(0, 1 << n, size=4000)]
+    got = kernels.circuit_ranks(u64(masks), u64(circs), n)
+    assert got.tolist() == [greedy_rank_reference(m, circs, n) for m in masks]
+
+
+@st.composite
+def matrices_and_masks(draw):
+    p = draw(st.sampled_from([2, 3, 5, 65521]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    # entries near p make the cross-multiplied products largest
+    entry = st.one_of(st.integers(0, p - 1), st.integers(max(0, p - 3), p - 1))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    data = draw(st.lists(row, min_size=rows, max_size=rows))
+    masks = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=40))
+    return FieldMatrix(p, data), masks
+
+
+@settings(deadline=None)
+@given(matrices_and_masks())
+def test_column_ranks_match_field_matrix_rank(case):
+    mat, masks = case
+    got = kernels.column_ranks(mat.data, u64(masks), mat.p)
+    assert got.tolist() == [mat.column_submatrix(m).rank() for m in masks]
+
+
+def test_column_ranks_cancel_exactly_near_the_largest_modulus():
+    # a rank-one matrix with entries near p: every product the elimination
+    # cancels exceeds 2^31, so a narrower integer type would leave residues
+    p = 65521
+    v = np.array([p - 1, p - 2, 40000, 65000, 3])
+    mat = FieldMatrix(p, [(lam * v) % p for lam in (1, 2, p - 1, 30000)])
+    masks = range(1 << 5)
+    got = kernels.column_ranks(mat.data, u64(masks), p)
+    assert got.tolist() == [min(m, 1) for m in masks]
+
+
+def test_subset_rank_table_matches_field_matrix_rank():
+    rng = np.random.default_rng(7)
+    mat = FieldMatrix(3, rng.integers(0, 3, size=(6, 12)))
+    table = kernels.subset_ranks(mat.data, 3)
+    assert len(table) == 1 << 12  # far more masks than one chunk holds
+    assert table.tolist() == [mat.column_submatrix(m).rank() for m in range(1 << 12)]
+
+
+@pytest.mark.parametrize("p, n", [(2, 15), (3, 16), (65521, 15)])
+def test_linear_ranks_without_table_match_field_matrix_rank(p, n):
+    rng = np.random.default_rng(n + p)
+    mat = FieldMatrix(p, rng.integers(0, p, size=(6, n)))
+    masks = [0, (1 << n) - 1] + [int(x) for x in rng.integers(0, 1 << n, size=1200)]
+    got = from_parity_check(mat).ranks(masks)
+    assert got.tolist() == [mat.column_submatrix(m).rank() for m in masks]
+
+
+def test_batched_ranks_match_single_queries(ternary84):
+    # fresh copies, so that neither path reads what the other memoized
+    for M in corpus_small(ternary84):
+        masks = range(1 << M.n)
+        single = from_descriptor(M.to_descriptor())
+        batched = from_descriptor(M.to_descriptor()).ranks(masks)
+        assert batched.tolist() == [single.rank(m) for m in masks]
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_ladder_matches_bruteforce_parity_and_circuit_list(seed):
+    rng = np.random.default_rng(1000 + seed)
+    p, n = (2, 3, 5)[seed % 3], 8 + seed % 7
+    rows = int(rng.integers(n // 3, 2 * n // 3 + 1))
+    M = from_parity_check(FieldMatrix(p, rng.integers(0, p, size=(rows, n))))
+    C = from_circuits(n, list(circuits(M)))
+    expected = bruteforce_ladder(M).levels
+    assert ladder(M).levels == expected
+    assert ladder(C).levels == expected
+    assert bruteforce_ladder(C).levels == expected

@@ -172,6 +172,14 @@ def test_dual_rank_formula_and_involution(small_corpus):
             assert DD.rank(mask) == M.rank(mask)
 
 
+def test_dual_is_shared_and_involutive(ternary84):
+    for M in (from_parity_check(FieldMatrix(2, [[1, 1, 0], [0, 1, 1]])), uniform(2, 5), ternary84):
+        D = M.dual()
+        assert M.dual() is D
+        assert D.dual() is M
+        assert D.dual().dual() is D
+
+
 def test_dual_uniform_pointwise():
     for n in range(1, 9):
         for r in range(n + 1):
