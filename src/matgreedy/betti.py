@@ -3,21 +3,27 @@ predicates, and resolution-shape classification.
 
 The multigraded Betti support equals the cycle ladder (plus the unit in
 homological index 0), which is how betti_support reads it off.  Exact values
-come from reduced homology of restricted independence complexes in
-complementary degree; since these are matroid complexes the numbers are
-field-independent and no field parameter is exposed.  Strand predicates are
-purely combinatorial and never materialize differential matrices.
+come from the Moebius function of the lattice of cycles, which is the ladder
+plus the empty set: matroid complexes have homology in top degree only, so
+beta_{i,X} = |mu(0, X)| for X on level i, and the numbers are
+field-independent.  Strand predicates are purely combinatorial and never
+materialize differential matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import kernels
 from .errors import CapExceeded, InputError
-from .homology import RESTRICTION_CAP, reduced_betti_single
 from .ladder import ladder
 from .masks import is_subset, popcount, to_labels
 from .matroid import Matroid
+
+# int64 sums of Moebius values are exact while the summed |mu| stay below this
+MOBIUS_SUM_CAP = 2**62
 
 
 @dataclass(frozen=True)
@@ -85,47 +91,72 @@ class BettiDiagram:
 
 
 def betti_support(M: Matroid) -> BettiDiagram:
-    """Support read directly off the cycle ladder; no homology computed."""
+    """Support read directly off the cycle ladder."""
     lad = ladder(M)
     return BettiDiagram(n=M.n, t=lad.t, levels=((0,),) + lad.levels)
+
+
+def _mobius(levels) -> list[np.ndarray]:
+    """mu(0, X) for the members X of each given ladder level, level by level.
+
+    mu(0, 0) = 1 and mu(0, X) = -sum of mu(0, Y) over the members Y of the
+    lower levels with Y in X; a level is an antichain, so no member of X's
+    own level lies strictly inside X.
+    """
+    lower = np.zeros(1, dtype=np.uint64)
+    lower_mu = np.ones(1, dtype=np.int64)
+    reach = 1  # sum of |mu| over the lower members, an exact Python int
+    out = []
+    for i, level in enumerate(levels, start=1):
+        if reach >= MOBIUS_SUM_CAP:
+            raise CapExceeded(
+                f"Moebius values at ladder level {i}: the lower |mu| sum "
+                f"{reach} reaches the int64 bound {MOBIUS_SUM_CAP}"
+            )
+        level = np.asarray(level, dtype=np.uint64)
+        mu = -kernels.subset_sums(level, lower, lower_mu)
+        out.append(mu)
+        reach += sum(map(abs, mu.tolist()))
+        lower = np.concatenate([lower, level])
+        lower_mu = np.concatenate([lower_mu, mu])
+    return out
 
 
 def betti_value(M: Matroid, i: int, X: int) -> int:
     """Exact multigraded Betti number at homological index i and set X.
 
-    Computed as reduced homology of the restriction to X in degree
-    |X| - i - 1; this is deliberately independent of the ladder so the two
-    routes can be checked against each other.
+    1 at (0, empty set), |mu(0, X)| when X is a level-i ladder member, and 0
+    everywhere else; the Moebius recursion runs on the members inside X only.
     """
-    if i < 0:
+    lad = ladder(M)
+    if i == 0:
+        return int(X == 0)
+    if not lad.contains(i, X):
         return 0
-    return reduced_betti_single(M, X, popcount(X) - i - 1)
+    below = [
+        [Y for Y in lad.level(l) if is_subset(Y, X)] for l in range(1, i)
+    ]
+    return abs(int(_mobius(below + [[X]])[-1][0]))
 
 
 def betti_values(M: Matroid) -> BettiDiagram:
     """Support plus exact values on every support pair.
 
-    Checks the restriction cap against the whole support up front so an
-    infeasible request fails before any slow homology is attempted.
+    Checks that every value is positive and that mu(0, X) has the sign
+    (-1)^i of a geometric lattice.
     """
     diagram = betti_support(M)
-    widest = max(
-        (popcount(mask) for lv in diagram.levels for mask in lv), default=0
-    )
-    if widest > RESTRICTION_CAP:
-        raise CapExceeded(
-            f"support contains a {widest}-element set, "
-            f"values are capped at {RESTRICTION_CAP} elements"
-        )
-    values = {
-        (i, mask): betti_value(M, i, mask)
-        for i, lv in enumerate(diagram.levels)
-        for mask in lv
-    }
-    for (i, mask), val in values.items():
-        assert val >= 1, (
-            f"support pair ({i}, {to_labels(mask)}) computed a zero value"
-        )
+    values = {(0, 0): 1}
+    for i, (level, mu) in enumerate(
+        zip(diagram.levels[1:], _mobius(diagram.levels[1:])), start=1
+    ):
+        wrong = np.flatnonzero(mu * (-1) ** i <= 0)
+        if wrong.size:
+            raise AssertionError(
+                f"support pair ({i}, {to_labels(level[wrong[0]])}) has "
+                f"mu = {mu[wrong[0]]}, want a nonzero value of sign (-1)^{i}"
+            )
+        values.update(zip(((i, X) for X in level), map(abs, mu.tolist())))
     return BettiDiagram(n=M.n, t=diagram.t, levels=diagram.levels, values=values)
 
 

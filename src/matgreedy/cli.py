@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,9 +26,6 @@ from .ladder import DEFAULT_SUBSET_CAP
 from .ladder import ladder as build_ladder
 from .matroid import Matroid, from_descriptor, validate_axioms
 from .weights import is_chained, weight_report
-
-COMMANDS = ("weights", "betti", "strands", "wei", "chained", "report", "validate")
-
 
 @dataclass
 class RunConfig:
@@ -83,37 +81,41 @@ def _render_table(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _betti_table_text(diagram: betti_mod.BettiDiagram) -> str:
-    """Grid rendering: rows are homological indices, columns cardinalities."""
-    if diagram.values is not None:
-        cells = {key: str(val) for key, val in diagram.table_values().items()}
+def _betti_table_text(doc: dict) -> str:
+    """Grid rendering of a betti document: rows are homological indices,
+    columns cardinalities."""
+    if "table" in doc:
+        cells = {
+            tuple(map(int, key.split("|"))): str(val)
+            for key, val in doc["table"].items()
+        }
     else:
-        cells = {key: "*" for key in diagram.table_support()}
+        cells = {tuple(pair): "*" for pair in doc["table_support"]}
     max_j = max((j for _, j in cells), default=0)
     width = max([3] + [len(v) for v in cells.values()])
     header = "i\\j " + " ".join(f"{j:>{width}}" for j in range(max_j + 1))
     lines = [header]
-    for i in range(diagram.t + 1):
+    for i in range(doc["t"] + 1):
         row = [f"{cells.get((i, j), '.'):>{width}}" for j in range(max_j + 1)]
         lines.append(f"{i:>3} " + " ".join(row))
     return "\n".join(lines) + "\n"
 
 
-def _cmd_weights(M: Matroid, config: RunConfig) -> dict:
+# Command handlers take (M, config, code), code being the parsed code file
+# when the input was one; only validate reads it.
+
+
+def _cmd_weights(M: Matroid, config: RunConfig, code=None) -> dict:
     return weight_report(M).to_json_dict()
 
 
-def _betti_diagram(M: Matroid, config: RunConfig) -> betti_mod.BettiDiagram:
+def _cmd_betti(M: Matroid, config: RunConfig, code=None) -> dict:
     if config.values:
-        return betti_mod.betti_values(M)
-    return betti_mod.betti_support(M)
+        return betti_mod.betti_values(M).to_json_dict()
+    return betti_mod.betti_support(M).to_json_dict()
 
 
-def _cmd_betti(M: Matroid, config: RunConfig) -> dict:
-    return _betti_diagram(M, config).to_json_dict()
-
-
-def _cmd_strands(M: Matroid, config: RunConfig) -> dict:
+def _cmd_strands(M: Matroid, config: RunConfig, code=None) -> dict:
     if not config.chain:
         raise InputError("strands requires --chain \"1,2|1,2,3|...\"")
     chain = masks.parse_chain(config.chain, M.n)
@@ -125,7 +127,9 @@ def _cmd_strands(M: Matroid, config: RunConfig) -> dict:
     }
 
 
-def _cmd_wei(M: Matroid, config: RunConfig, cap: int | None = None) -> dict:
+def _cmd_wei(
+    M: Matroid, config: RunConfig, code=None, cap: int | None = None
+) -> dict:
     # M refers to its dual weakly: holding the dual here lets both checks
     # share it, so the dual's ladder is built once
     dual = M.dual()  # noqa: F841
@@ -136,7 +140,7 @@ def _cmd_wei(M: Matroid, config: RunConfig, cap: int | None = None) -> dict:
     }
 
 
-def _cmd_chained(M: Matroid, config: RunConfig) -> dict:
+def _cmd_chained(M: Matroid, config: RunConfig, code=None) -> dict:
     verdict, chain = is_chained(M)
     return {
         "chained": verdict,
@@ -176,7 +180,7 @@ def _cmd_validate(
 REPORT_WEI_CAP = 300_000
 
 
-def _cmd_report(M: Matroid, config: RunConfig) -> dict:
+def _cmd_report(M: Matroid, config: RunConfig, code=None) -> dict:
     doc = {
         "weights": _cmd_weights(M, config),
         "betti": _cmd_betti(M, config),
@@ -192,26 +196,52 @@ def _cmd_report(M: Matroid, config: RunConfig) -> dict:
     return doc
 
 
+def _wei_fails(doc: dict) -> bool:
+    return not (doc["greedy"]["identity_holds"] and doc["classical"]["identity_holds"])
+
+
+def _validate_fails(doc: dict) -> bool:
+    oracle = doc.get("code_oracle", {"agrees": True})
+    return not (doc["axioms"]["ok"] and oracle["agrees"])
+
+
+def _report_fails(doc: dict) -> bool:
+    return "skipped" not in doc["wei"] and _wei_fails(doc["wei"])
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    handler: Callable[..., dict]
+    # whether the document records a failed identity or check (exit 2)
+    fails: Callable[[dict], bool] = lambda doc: False
+    table: Callable[[dict], str] = _render_table
+
+
+COMMANDS = {
+    "weights": _Command("all four weight vectors with witnesses", _cmd_weights),
+    "betti": _Command(
+        "Betti support (values with --values)", _cmd_betti, table=_betti_table_text
+    ),
+    "strands": _Command("check a strand given with --chain", _cmd_strands),
+    "wei": _Command("both Wei duality identities", _cmd_wei, _wei_fails),
+    "chained": _Command("chainedness verdict and witness chain", _cmd_chained),
+    "report": _Command("everything at once", _cmd_report, _report_fails),
+    "validate": _Command(
+        "axiom check; code inputs also get oracle cross-check",
+        _cmd_validate,
+        _validate_fails,
+    ),
+}
+
+
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit status, rendered output)."""
+    command = COMMANDS[config.command]
     try:
         M, code = _load_input(config.input_path)
         build_ladder(M, cap=config.cap_subsets)
-        if config.command == "weights":
-            doc = _cmd_weights(M, config)
-        elif config.command == "betti":
-            diagram = _betti_diagram(M, config)
-            doc = diagram.to_json_dict()
-        elif config.command == "strands":
-            doc = _cmd_strands(M, config)
-        elif config.command == "wei":
-            doc = _cmd_wei(M, config)
-        elif config.command == "chained":
-            doc = _cmd_chained(M, config)
-        elif config.command == "validate":
-            doc = _cmd_validate(M, config, code)
-        else:
-            doc = _cmd_report(M, config)
+        doc = command.handler(M, config, code)
         if config.dump_ladder:
             doc["ladder"] = build_ladder(M).to_json_dict()
     except InputError as exc:
@@ -221,26 +251,9 @@ def run(config: RunConfig) -> tuple[int, str]:
     except AssertionError as exc:
         return 2, f"internal invariant failure: {exc}\n"
 
-    status = 0
-    if config.command == "wei" and not (
-        doc["greedy"]["identity_holds"] and doc["classical"]["identity_holds"]
-    ):
-        status = 2
-    if config.command == "validate":
-        if not doc["axioms"]["ok"]:
-            status = 2
-        if not doc.get("code_oracle", {"agrees": True})["agrees"]:
-            status = 2
-    if config.command == "report" and "skipped" not in doc["wei"] and not (
-        doc["wei"]["greedy"]["identity_holds"]
-        and doc["wei"]["classical"]["identity_holds"]
-    ):
-        status = 2
-
+    status = 2 if command.fails(doc) else 0
     if config.fmt == "table":
-        if config.command == "betti":
-            return status, _betti_table_text(diagram)
-        return status, _render_table(doc)
+        return status, command.table(doc)
     return status, json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -251,16 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         "Betti data for matroids and linear codes over prime fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("weights", "all four weight vectors with witnesses"),
-        ("betti", "Betti support (values with --values)"),
-        ("strands", "check a strand given with --chain"),
-        ("wei", "both Wei duality identities"),
-        ("chained", "chainedness verdict and witness chain"),
-        ("report", "everything at once"),
-        ("validate", "axiom check; code inputs also get oracle cross-check"),
-    ):
-        sp = sub.add_parser(name, help=doc)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("input", help="matroid JSON or code file")
         sp.add_argument("--format", default="json", choices=("json", "table"))
         sp.add_argument(

@@ -142,11 +142,6 @@ class FieldMatrix:
         idx = [lab - 1 for lab in labels]
         return FieldMatrix(self.field, self.data[:, idx].copy())
 
-    def matmul(self, other: FieldMatrix) -> FieldMatrix:
-        if other.field != self.field or self.ncols != other.nrows:
-            raise InputError("matrix shapes/fields incompatible for product")
-        return FieldMatrix(self.field, (self.data @ other.data) % self.p)
-
     def vecmul(self, vec: np.ndarray) -> np.ndarray:
         """Row vector times matrix: vec @ self, reduced mod p."""
         return (np.asarray(vec, dtype=np.int64) @ self.data) % self.p

@@ -1,5 +1,5 @@
 """Batched integer kernels: mod-p elimination, column-subset ranks, circuit
-ranks and the inclusion-minimality filter.
+ranks, weighted containment sums and the inclusion-minimality filter.
 
 Each kernel treats a whole batch of subset masks with numpy array operations.
 Batches are split into chunks so that no temporary holds more than about
@@ -138,17 +138,36 @@ def subset_ranks(mat, p):
     return column_ranks(mat, np.arange(1 << cols, dtype=np.uint64), p).astype(np.int8)
 
 
-def contains_any(masks, subsets):
-    """Flags: whether each mask contains at least one of the subsets."""
+def _contained(masks, subsets):
+    """Row chunks of the containment matrix of masks against subsets.
+
+    Yields (rows, inside) with inside[a, b] true iff subsets[b] lies in
+    masks[rows][a].
+    """
     masks = np.asarray(masks, dtype=np.uint64)
     subsets = np.asarray(subsets, dtype=np.uint64)
-    out = np.zeros(masks.shape[0], dtype=bool)
-    if subsets.size == 0:
-        return out
-    step = max(1, CHUNK_ENTRIES // subsets.size)
+    step = max(1, CHUNK_ENTRIES // max(1, subsets.size))
     for start in range(0, masks.shape[0], step):
-        outside = ~masks[start : start + step, None]
-        out[start : start + step] = ((subsets & outside) == 0).any(axis=1)
+        rows = slice(start, start + step)
+        yield rows, (subsets & ~masks[rows, None]) == 0
+
+
+def contains_any(masks, subsets):
+    """Flags: whether each mask contains at least one of the subsets."""
+    out = np.zeros(len(masks), dtype=bool)
+    for rows, inside in _contained(masks, subsets):
+        out[rows] = inside.any(axis=1)
+    return out
+
+
+def subset_sums(masks, subsets, weights):
+    """Sum of the int64 weights of the subsets contained in each mask.
+
+    The caller keeps the sum of the weights' absolute values below 2^63.
+    """
+    out = np.zeros(len(masks), dtype=np.int64)
+    for rows, inside in _contained(masks, subsets):
+        out[rows] = np.where(inside, weights, 0).sum(axis=1)
     return out
 
 

@@ -1,21 +1,19 @@
-"""Reduced simplicial homology of restricted independence complexes.
+"""Test oracle: reduced simplicial homology of restricted independence
+complexes, the route to Betti values that does not use the ladder.
 
 For a matroid M and subset X the faces are the independent subsets of X;
 boundary matrices carry the usual alternating signs and ranks are taken over
 the rationals with exact integer (Bareiss fraction-free) elimination, so the
-returned dimensions are exact.  Restriction sizes are capped to keep face
-counts bounded.
+returned dimensions are exact.  Face counts grow like 2^|X|, so callers keep
+X small.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import CapExceeded
-from .masks import popcount, to_labels
-from .matroid import Matroid
-
-RESTRICTION_CAP = 16
+from matgreedy.masks import to_labels
+from matgreedy.matroid import Matroid
 
 
 def exact_rank(rows: list[list[int]]) -> int:
@@ -61,13 +59,6 @@ def exact_rank(rows: list[list[int]]) -> int:
     return r
 
 
-def _check_cap(X: int) -> None:
-    if popcount(X) > RESTRICTION_CAP:
-        raise CapExceeded(
-            f"restriction has {popcount(X)} elements, cap is {RESTRICTION_CAP}"
-        )
-
-
 def faces_of_size(M: Matroid, X: int, size: int) -> list[tuple[int, ...]]:
     """Independent subsets of X with the given cardinality, as label tuples."""
     labels = to_labels(X)
@@ -105,7 +96,6 @@ def reduced_betti_single(M: Matroid, X: int, degree: int) -> int:
     Faces of size s live in dimension s-1; the empty face gives the reduced
     augmentation, so degree -1 is meaningful.
     """
-    _check_cap(X)
     size = degree + 1
     top = M.rank(X)
     if size < 0 or size > top:
@@ -130,7 +120,6 @@ def reduced_betti_single(M: Matroid, X: int, degree: int) -> int:
 def reduced_betti_all(M: Matroid, X: int) -> dict[int, int]:
     """All nonzero reduced homology dimensions of the restriction to X,
     keyed by degree.  Boundary ranks are computed once and shared."""
-    _check_cap(X)
     top = M.rank(X)
     faces = [faces_of_size(M, X, s) for s in range(top + 1)]
     ranks = [0] * (top + 2)

@@ -27,7 +27,6 @@ from matgreedy.betti import (
 )
 from matgreedy.codes import LinearCode, code_weights, ghw_bruteforce, greedy_bruteforce
 from matgreedy.gfp import FieldMatrix
-from matgreedy.homology import reduced_betti_all
 from matgreedy.ladder import bruteforce_ladder, ladder
 from matgreedy.masks import from_labels, full_mask, popcount, to_labels
 from matgreedy.matroid import from_circuits, from_generator, uniform, validate_axioms
@@ -48,6 +47,7 @@ from tests.conftest import (
     random_code,
     random_matroid,
 )
+from tests.homology_oracle import reduced_betti_all
 from tests.test_weights import unrestricted_chain_minima
 
 E8 = full_mask(8)

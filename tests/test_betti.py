@@ -1,13 +1,15 @@
-"""Betti support/values, homology kernel exactness, strand predicates, and
-resolution shapes."""
+"""Betti support/values against the homology oracle, the oracle's exactness,
+strand predicates, and resolution shapes."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
+from matgreedy import betti as betti_mod
 from matgreedy.betti import (
     StrandSpec,
     betti_support,
@@ -18,8 +20,8 @@ from matgreedy.betti import (
     strand_check,
     strand_nonzero,
 )
+from matgreedy.cli import RunConfig, run
 from matgreedy.errors import CapExceeded, InputError
-from matgreedy.homology import exact_rank, reduced_betti_all
 from matgreedy.ladder import ladder
 from matgreedy.masks import from_labels, full_mask, popcount
 from matgreedy.matroid import uniform
@@ -30,14 +32,20 @@ from matgreedy.weights import (
     hamming_weights,
     is_chained,
 )
-from tests.conftest import random_matroid
+from tests.conftest import FIXTURES, random_matroid
+from tests.homology_oracle import (
+    exact_rank,
+    faces_of_size,
+    reduced_betti_all,
+    reduced_betti_single,
+)
 
 E8 = full_mask(8)
 
 
 def fraction_rank(rows) -> int:
     """Plain Gaussian elimination over the rationals; slow but obviously
-    correct, used to validate the fraction-free production elimination."""
+    correct, used to validate the oracle's fraction-free elimination."""
     mat = [[Fraction(x) for x in row] for row in rows]
     m = len(mat)
     if m == 0:
@@ -191,6 +199,62 @@ def test_betti_value_cap():
         betti_value(M, 1, full_mask(20))
 
 
+def test_mobius_values_match_homology_oracle(small_corpus):
+    # every (i, X), on and off the support, for the small corpus
+    for M in small_corpus:
+        if M.n > 6:
+            continue
+        t = ladder(M).t
+        for X in range(1 << M.n):
+            for i in range(t + 2):
+                want = reduced_betti_single(M, X, popcount(X) - i - 1)
+                assert betti_value(M, i, X) == want, (M.n, i, X)
+    # every support pair of seeded random matroids up to n = 8
+    rng = np.random.default_rng(5150)
+    for _ in range(40):
+        M = random_matroid(rng, int(rng.integers(2, 9)))
+        values = betti_values(M).values
+        for (i, X), val in values.items():
+            want = reduced_betti_single(M, X, popcount(X) - i - 1)
+            assert val == betti_value(M, i, X) == want, (M.n, i, X)
+
+
+def hilbert_numerator_order(table: dict[tuple[int, int], int]) -> int:
+    """Order of vanishing at t = 1 of K(t) = sum (-1)^i beta_{i,j} t^j.
+
+    K(t) is the numerator of the Hilbert series over (1 - t)^n of a ring of
+    Krull dimension rank, so the order is the corank whatever the values'
+    provenance.  The k-th Taylor coefficient at 1 is sum_j c_j C(j, k).
+    """
+    coeffs: dict[int, int] = {}
+    for (i, j), beta in table.items():
+        coeffs[j] = coeffs.get(j, 0) + (-1) ** i * beta
+    k = 0
+    while sum(c * comb(j, k) for j, c in coeffs.items()) == 0:
+        k += 1
+    return k
+
+
+def test_values_satisfy_hilbert_series_identity(ternary84, small_corpus):
+    for M in [ternary84] + small_corpus:
+        table = betti_values(M).table_values()
+        assert hilbert_numerator_order(table) == M.corank
+
+
+def test_mobius_int64_guard(monkeypatch, ternary84):
+    # before level 2 the lower |mu| sum is 1 + 7 circuits = 8
+    monkeypatch.setattr(betti_mod, "MOBIUS_SUM_CAP", 8)
+    with pytest.raises(CapExceeded, match="level 2"):
+        betti_values(ternary84)
+    with pytest.raises(CapExceeded, match="level 2"):
+        betti_value(ternary84, 4, E8)
+    # inside {1,2,3,4} only three circuits lie below: 1 + 3 < 8
+    assert betti_value(ternary84, 2, from_labels([1, 2, 3, 4])) == 2
+    path = str(FIXTURES / "ternary84.json")
+    status, out = run(RunConfig(command="betti", input_path=path, values=True))
+    assert status == 3 and "int64" in out
+
+
 def test_strand_nonzero_cases(ternary84):
     assert strand_nonzero(ternary84, 2, from_labels([1, 2]), from_labels([1, 2, 3, 4]))
     assert not strand_nonzero(ternary84, 2, from_labels([1, 2]), from_labels([5, 6, 7, 8]))
@@ -297,8 +361,6 @@ def test_values_match_euler_characteristic(ternary84, small_corpus):
     # homology is concentrated in the top degree and the value must equal
     # the reduced Euler characteristic up to sign -- a pure face count,
     # independent of any boundary-rank computation
-    from matgreedy.homology import faces_of_size
-
     for M in [ternary84] + [N for N in small_corpus if N.n <= 8]:
         lad = ladder(M)
         for i, level in enumerate(lad.levels, start=1):

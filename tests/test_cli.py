@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from matgreedy import betti as betti_mod
 from matgreedy.cli import RunConfig, main, run
 from matgreedy.errors import InputError
 from tests.conftest import FIXTURES
+from tests.test_betti import hilbert_numerator_order
 
 TERNARY84 = str(FIXTURES / "ternary84.json")
 M23 = str(FIXTURES / "m23.json")
@@ -160,13 +162,34 @@ def test_exit_codes():
     assert status == 1
     status, _ = run(RunConfig(command="weights", input_path=M23, cap_subsets=10))
     assert status == 3
-    # value computation on 23-element support sets is over the homology cap
-    status, out = run(RunConfig(command="betti", input_path=M23, values=True))
-    assert status == 3 and "cap exceeded" in out
     with pytest.raises(InputError):
         RunConfig(command="weights", input_path=TERNARY84, cap_subsets=0)
     with pytest.raises(InputError):
         RunConfig(command="bogus", input_path=TERNARY84)
+
+
+def test_betti_values_m23():
+    start = time.perf_counter()
+    status, doc = run_cmd("betti", M23, values=True)
+    elapsed = time.perf_counter() - start
+    assert status == 0
+    assert len(doc["values"]) == 340
+    assert doc["table"]["5|23"] == 90
+    assert doc["values"]["5|" + ",".join(str(x) for x in range(1, 24))] == 90
+    assert elapsed < 2.0
+    table = {
+        tuple(map(int, key.split("|"))): val for key, val in doc["table"].items()
+    }
+    assert hilbert_numerator_order(table) == 5
+
+
+def test_betti_values_refuse_non_matroid_circuits(tmp_path):
+    # {1,2},{1,3},{1,4},{2,3,4} violate circuit elimination; the Moebius
+    # value of {1,2,3,4} comes out 0, which no matroid has
+    path = tmp_path / "planted.json"
+    path.write_text('{"type":"circuits","n":4,"circuits":[[1,2],[1,3],[1,4],[2,3,4]]}')
+    status, out = run(RunConfig(command="betti", input_path=str(path), values=True))
+    assert status == 2 and out.startswith("internal invariant failure:")
 
 
 def test_table_format():

@@ -91,6 +91,35 @@ def test_circuit_ranks_batch_over_many_chunks():
     assert got.tolist() == [greedy_rank_reference(m, circs, n) for m in masks]
 
 
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, (1 << 12) - 1), max_size=60),
+    st.lists(
+        st.tuples(st.integers(0, (1 << 12) - 1), st.integers(-(2**40), 2**40)),
+        max_size=40,
+    ),
+)
+def test_subset_sums_match_plain_sums(masks, weighted):
+    subsets = [s for s, _ in weighted]
+    weights = np.array([w for _, w in weighted], dtype=np.int64)
+    got = kernels.subset_sums(u64(masks), u64(subsets), weights)
+    want = [sum(w for s, w in weighted if s & ~m == 0) for m in masks]
+    assert got.tolist() == want
+
+
+def test_subset_sums_batch_over_many_chunks():
+    rng = np.random.default_rng(7)
+    masks = [int(x) for x in rng.integers(0, 1 << 16, size=3000)]
+    subsets = [int(x) for x in rng.integers(0, 1 << 16, size=30)]
+    weights = rng.integers(-(2**50), 2**50, size=30)
+    got = kernels.subset_sums(u64(masks), u64(subsets), weights)
+    want = [
+        sum(int(w) for s, w in zip(subsets, weights) if s & ~m == 0) for m in masks
+    ]
+    assert len(masks) * len(subsets) > 2 * kernels.CHUNK_ENTRIES
+    assert got.tolist() == want
+
+
 @st.composite
 def matrices_and_masks(draw):
     p = draw(st.sampled_from([2, 3, 5, 65521]))
