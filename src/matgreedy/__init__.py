@@ -20,6 +20,7 @@ from .codes import (
     ghw_bruteforce,
     greedy_bruteforce,
     shortened_subcode,
+    subcode_weights,
     support,
 )
 from .errors import CapExceeded, InputError, MatGreedyError
@@ -94,6 +95,7 @@ __all__ = [
     "shortened_subcode",
     "strand_check",
     "strand_nonzero",
+    "subcode_weights",
     "support",
     "uniform",
     "validate_axioms",

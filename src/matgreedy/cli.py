@@ -154,13 +154,14 @@ def _cmd_validate(
     M: Matroid, config: RunConfig, code: codes_mod.LinearCode | None
 ) -> dict:
     doc: dict = {"axioms": validate_axioms(M, seed=config.seed).to_json_dict()}
-    if code is not None and code.p**code.k <= config.cap_subspaces:
+    if (
+        code is not None
+        and codes_mod.subspace_count(code.p, code.k) <= config.cap_subspaces
+    ):
         report = codes_mod.code_weights(code)
-        d_oracle = tuple(
-            codes_mod.ghw_bruteforce(code, r, cap=config.cap_subspaces)
-            for r in range(1, code.k + 1)
+        d_oracle, e_o, et_o, g_o = codes_mod.subcode_weights(
+            code, cap=config.cap_subspaces
         )
-        e_o, et_o, g_o = codes_mod.greedy_bruteforce(code, cap=config.cap_subspaces)
         doc["code_oracle"] = {
             "agrees": report.d == d_oracle
             and report.e == e_o
@@ -274,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--chain", help='chain of subsets, e.g. "1,2|1,2,3,4"')
         sp.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
         sp.add_argument(
-            "--cap-subspaces", type=int, default=codes_mod.DEFAULT_SUBSPACE_CAP
+            "--cap-subspaces", type=int, default=codes_mod.DEFAULT_SUBSPACE_CAP,
+            help="most subspaces of the message space GF(p)^k that validate's "
+            "subcode oracle may enumerate; above it the oracle is skipped",
         )
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--dump-ladder", action="store_true")

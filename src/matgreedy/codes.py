@@ -9,17 +9,18 @@ every optimal subcode forward when ties occur.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .errors import CapExceeded, InputError
 from .gfp import FieldMatrix, format_matrix, parse_matrix
+from .kernels import CHUNK_ENTRIES, popcounts
 from .masks import full_mask, popcount
 from .matroid import Matroid, from_generator
 from .weights import WeightReport, weight_report
 
-DEFAULT_SUBSPACE_CAP = 1 << 14
+DEFAULT_SUBSPACE_CAP = 1 << 15
 
 
 class LinearCode:
@@ -104,147 +105,140 @@ def code_matroid(C: LinearCode) -> Matroid:
 # -- subcode enumeration ----------------------------------------------------
 
 
+def subspace_count(p: int, k: int) -> int:
+    """Number of subspaces of GF(p)^k: the sum over r of the Gaussian
+    binomials [k r]_p, each the previous one times (p^(k-r+1)-1)/(p^r-1)."""
+    total = term = 1
+    for r in range(1, k + 1):
+        term = term * (p ** (k - r + 1) - 1) // (p**r - 1)
+        total += term
+    return total
+
+
 def _check_cap(C: LinearCode, cap: int) -> None:
-    if C.p**C.k > cap:
-        raise CapExceeded(
-            f"message space of size {C.p}**{C.k} exceeds the cap {cap}"
-        )
+    if (count := subspace_count(C.p, C.k)) > cap:
+        raise CapExceeded(f"{count} subspaces of GF({C.p})^{C.k} exceed the cap {cap}")
 
 
-def echelon_subspaces(p: int, k: int, r: int) -> list[np.ndarray]:
-    """Every r-dimensional subspace of GF(p)^k as its unique RREF basis."""
-    if r < 0 or r > k:
-        return []
-    if r == 0:
-        return [np.zeros((0, k), dtype=np.int64)]
-    out = []
+def echelon_subspaces(p: int, k: int, r: int) -> np.ndarray:
+    """Every r-dimensional subspace of GF(p)^k as its unique RREF basis,
+    stacked into a (count, r, k) array: one block per pivot set, whose free
+    entries are the base-p digits of the index in the block."""
+    blocks = [np.zeros((0, r, k), dtype=np.int64)]
     for pivots in combinations(range(k), r):
-        free_pos = [
-            (i, j)
-            for i in range(r)
-            for j in range(pivots[i] + 1, k)
-            if j not in pivots
+        free = [
+            (i, j) for i, c in enumerate(pivots) for j in range(c + 1, k) if j not in pivots
         ]
-        for fill in product(range(p), repeat=len(free_pos)):
-            mat = np.zeros((r, k), dtype=np.int64)
-            for i, c in enumerate(pivots):
-                mat[i, c] = 1
-            for (i, j), val in zip(free_pos, fill):
-                mat[i, j] = val
-            out.append(mat)
-    return out
+        block = np.zeros((p ** len(free), r, k), dtype=np.int64)
+        block[:, range(r), list(pivots)] = 1
+        digits = np.arange(block.shape[0])
+        for i, j in reversed(free):
+            block[:, i, j] = digits % p
+            digits //= p
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
-def _contains(small: np.ndarray, big: np.ndarray, pivots_big, p: int) -> bool:
-    """Whether rowspace(small) is inside rowspace(big); big is in RREF."""
-    for row in small:
-        v = row.copy()
-        for i, c in enumerate(pivots_big):
-            f = v[c]
-            if f:
-                v = (v - f * big[i]) % p
-        if np.any(v):
-            return False
-    return True
+def _subcode_weights(C: LinearCode, bases: np.ndarray) -> np.ndarray:
+    """Support weight of the subcode spanned by each basis: the popcount of
+    the union of its rows' codeword supports."""
+    rows = bases.reshape(-1, C.k)
+    row_masks = np.zeros(rows.shape[0], dtype=np.uint64)
+    bits = np.uint64(1) << np.arange(C.n, dtype=np.uint64)
+    step = CHUNK_ENTRIES // C.n + 1
+    for s in range(0, rows.shape[0], step):
+        words = rows[s : s + step] @ C.generator.data % C.p
+        row_masks[s : s + step] = np.where(words != 0, bits, np.uint64(0)).sum(axis=1)
+    return popcounts(np.bitwise_or.reduce(row_masks.reshape(bases.shape[:2]), axis=1))
 
 
-def _pivots(mat: np.ndarray) -> tuple[int, ...]:
-    out = []
-    for row in mat:
-        nz = np.nonzero(row)[0]
-        out.append(int(nz[0]))
-    return tuple(out)
+def _containment(
+    small: np.ndarray, big: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flags (inside, around): whether each small basis spans a subspace of
+    some big basis's row space, and whether each big one contains some small
+    one.
+
+    The big bases are in RREF, so a row lies in a big row space iff taking
+    away the big rows, weighted by the row's entries at their pivots, leaves
+    zero mod p.  Pairs are tested in chunks of about CHUNK_ENTRIES entries.
+    """
+    count, a, k = small.shape
+    pivots = (big != 0).argmax(axis=2)
+    inside, around = np.zeros(count, dtype=bool), np.zeros(len(big), dtype=bool)
+    pairs = CHUNK_ENTRIES // (a * k + 1) + 1
+    big_step = min(len(big), pairs) or 1
+    small_step = max(1, pairs // big_step)
+    for t in range(0, len(big), big_step):
+        bg, piv = big[t : t + big_step], pivots[t : t + big_step]
+        for s in range(0, count, small_step):
+            sm = small[s : s + small_step]
+            coeffs = sm[:, :, piv].transpose(0, 2, 1, 3)  # (small, big, a, b)
+            within = ~((sm[:, None] - coeffs @ bg) % p).any(axis=(2, 3))
+            inside[s : s + small_step] |= within.any(axis=1)
+            around[t : t + big_step] |= within.any(axis=0)
+    return inside, around
 
 
-def _subspace_weight(C: LinearCode, basis: np.ndarray) -> int:
-    words = (basis @ C.generator.data) % C.p
-    return weight(words)
+def subcode_weights(
+    C: LinearCode, cap: int = DEFAULT_SUBSPACE_CAP
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(d, e, e_tilde, g) of the code by exhaustive enumeration of subcodes.
+
+    Each dimension's subspaces are enumerated once.  The greedy families
+    carry every optimal subcode forward at each stage; ties matter because
+    a later level may only be reachable through one of them.  The cap bounds
+    the number of subspaces and is checked before anything is enumerated.
+    """
+    _check_cap(C, cap)
+    k, p = C.k, C.p
+    if k == 0:
+        return (), (), (), ()
+    bases = [echelon_subspaces(p, k, r) for r in range(k + 1)]
+    weights = [_subcode_weights(C, b) for b in bases]
+    d = tuple(int(w.min()) for w in weights[1:])
+
+    def lightest(r: int, passes) -> tuple[int, np.ndarray]:
+        """Least weight of a dimension-r subcode that passes the test, and
+        all such subcodes; weight classes are tested lightest first."""
+        for w in range(d[r - 1], C.n + 1):
+            cand = bases[r][weights[r] == w]
+            hits = cand[passes(cand)]
+            if len(hits):
+                return w, hits
+
+    # bottom-up: dimension-r subcodes containing an optimal (r-1)-subcode;
+    # CEZ: dimension-r subcodes containing some subcode of weight d_{r-1}
+    e, g = [d[0]], [d[0]]
+    frontier = bases[1][weights[1] == d[0]]
+    for r in range(2, k + 1):
+        computers = bases[r - 1][weights[r - 1] == d[r - 2]]
+        er, frontier = lightest(r, lambda big: _containment(frontier, big, p)[1])
+        e.append(er)
+        g.append(lightest(r, lambda big: _containment(computers, big, p)[1])[0])
+
+    # top-down: dimension-r subcodes inside an optimal (r+1)-subcode; the
+    # whole code is the unique k-dimensional one
+    et = [d[-1]]
+    frontier = bases[k]
+    for r in range(k - 1, 0, -1):
+        wr, frontier = lightest(r, lambda small: _containment(small, frontier, p)[0])
+        et.append(wr)
+    return d, tuple(e), tuple(reversed(et)), tuple(g)
 
 
 def ghw_bruteforce(C: LinearCode, r: int, cap: int = DEFAULT_SUBSPACE_CAP) -> int:
     """Exhaustive minimum support weight over all r-dimensional subcodes."""
     if not 1 <= r <= C.k:
         raise InputError(f"subcode dimension {r} outside 1..{C.k}")
-    _check_cap(C, cap)
-    return min(
-        _subspace_weight(C, basis) for basis in echelon_subspaces(C.p, C.k, r)
-    )
+    return subcode_weights(C, cap)[0][r - 1]
 
 
 def greedy_bruteforce(
     C: LinearCode, cap: int = DEFAULT_SUBSPACE_CAP
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Literal recursive enumeration of the three greedy subcode families.
-
-    Every optimal subcode is carried forward at each stage; ties matter
-    because a later level may only be reachable through one of them.
-    """
-    _check_cap(C, cap)
-    k = C.k
-    if k == 0:
-        return (), (), ()
-    p = C.p
-    by_dim = {r: echelon_subspaces(p, k, r) for r in range(0, k + 1)}
-    weights = {
-        r: [_subspace_weight(C, b) for b in by_dim[r]] for r in range(0, k + 1)
-    }
-    pivots = {r: [_pivots(b) for b in by_dim[r]] for r in range(0, k + 1)}
-
-    def best_under(r: int, allowed: list[int]) -> tuple[int, list[int]]:
-        w = min(weights[r][i] for i in allowed)
-        return w, [i for i in allowed if weights[r][i] == w]
-
-    # bottom-up: dimension-r subcodes containing an optimal (r-1)-subcode
-    e: list[int] = []
-    e1, frontier = best_under(1, list(range(len(by_dim[1]))))
-    e.append(e1)
-    for r in range(2, k + 1):
-        allowed = [
-            i
-            for i, big in enumerate(by_dim[r])
-            if any(
-                _contains(by_dim[r - 1][j], big, pivots[r][i], p)
-                for j in frontier
-            )
-        ]
-        er, frontier = best_under(r, allowed)
-        e.append(er)
-
-    # top-down: dimension-r subcodes inside an optimal (r+1)-subcode
-    et = [weights[k][0]]
-    frontier = [0]  # the whole code is the unique k-dimensional subspace
-    for r in range(k - 1, 0, -1):
-        allowed = [
-            i
-            for i, small in enumerate(by_dim[r])
-            if any(
-                _contains(small, by_dim[r + 1][j], pivots[r + 1][j], p)
-                for j in frontier
-            )
-        ]
-        wr, frontier = best_under(r, allowed)
-        et.append(wr)
-    et.reverse()
-
-    # CEZ: dimension-r subcodes containing some subcode of weight d_{r-1}
-    d = [min(weights[r]) for r in range(1, k + 1)]
-    g = [d[0]]
-    for r in range(2, k + 1):
-        computers = [
-            j for j, w in enumerate(weights[r - 1]) if w == d[r - 2]
-        ]
-        allowed = [
-            i
-            for i, big in enumerate(by_dim[r])
-            if any(
-                _contains(by_dim[r - 1][j], big, pivots[r][i], p)
-                for j in computers
-            )
-        ]
-        gr, _ = best_under(r, allowed)
-        g.append(gr)
-
-    return tuple(e), tuple(et), tuple(g)
+    """Exhaustive (e, e_tilde, g): the greedy part of subcode_weights."""
+    return subcode_weights(C, cap)[1:]
 
 
 def code_weights(C: LinearCode) -> WeightReport:

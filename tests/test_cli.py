@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 import pytest
 
 from matgreedy import betti as betti_mod
 from matgreedy.cli import RunConfig, main, run
+from matgreedy.codes import LinearCode, format_code_file
 from matgreedy.errors import InputError
-from tests.conftest import FIXTURES
+from matgreedy.gfp import FieldMatrix
+from tests.conftest import FIXTURES, random_code
 from tests.test_betti import hilbert_numerator_order
 
 TERNARY84 = str(FIXTURES / "ternary84.json")
@@ -150,11 +153,44 @@ def test_console_script_byte_stable_across_processes():
     import subprocess
     import sys
 
-    cmd = [sys.executable, "-m", "matgreedy", "weights", TERNARY84]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
-    assert first.stdout == second.stdout
-    assert json.loads(first.stdout)["d"] == [2, 4, 6, 8]
+    docs = {}
+    for args in (["weights", TERNARY84], ["validate", CODE8]):
+        cmd = [sys.executable, "-m", "matgreedy", *args]
+        first = subprocess.run(cmd, capture_output=True, check=True)
+        second = subprocess.run(cmd, capture_output=True, check=True)
+        assert first.stdout == second.stdout
+        docs[args[0]] = json.loads(first.stdout)
+    assert docs["weights"]["d"] == [2, 4, 6, 8]
+    assert docs["validate"]["code_oracle"] == {
+        "agrees": True,
+        "d": [2, 4, 6, 8],
+        "e": [2, 4, 7, 8],
+        "e_tilde": [3, 4, 6, 8],
+        "g": [2, 4, 6, 8],
+    }
+
+
+def _write_code(path, code: LinearCode) -> str:
+    path.write_text(format_code_file(code))
+    return str(path)
+
+
+def test_validate_subspace_cap_trips_first(tmp_path):
+    # GF(3) k=7 has 2,052,656 subspaces: the oracle is skipped at once
+    eye7 = np.eye(7, dtype=int)
+    ternary = LinearCode(FieldMatrix(3, np.hstack([eye7, eye7[:, :3] + eye7[:, 3:6]])))
+    start = time.perf_counter()
+    status, doc = run_cmd("validate", _write_code(tmp_path / "t.txt", ternary))
+    assert status == 0 and "code_oracle" not in doc
+    assert time.perf_counter() - start < 2.0
+    # GF(2) k=7 has 29,212 subspaces, within the default cap
+    binary = _write_code(tmp_path / "b.txt", random_code(np.random.default_rng(7), 2, 12, 7))
+    start = time.perf_counter()
+    status, doc = run_cmd("validate", binary)
+    assert status == 0 and doc["code_oracle"]["agrees"] is True
+    assert time.perf_counter() - start < 1.0
+    status, doc = run_cmd("validate", binary, cap_subspaces=29_211)
+    assert status == 0 and "code_oracle" not in doc
 
 
 def test_exit_codes():

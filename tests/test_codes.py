@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from matgreedy import codes as codes_mod
 from matgreedy.codes import (
     LinearCode,
     code_matroid,
@@ -15,6 +16,8 @@ from matgreedy.codes import (
     greedy_bruteforce,
     parse_code_file,
     shortened_subcode,
+    subcode_weights,
+    subspace_count,
     support,
     weight,
 )
@@ -108,10 +111,24 @@ def test_code_matroid_fixtures(ternary84_code):
 
 
 def test_echelon_subspace_counts():
-    for p in (2, 3):
-        for k in range(1, 5):
-            for r in range(0, k + 1):
-                assert len(echelon_subspaces(p, k, r)) == gaussian_binomial(k, r, p)
+    for p in (2, 3, 5, 7):
+        for k in range(0, 5):
+            counts = [len(echelon_subspaces(p, k, r)) for r in range(0, k + 1)]
+            assert counts == [gaussian_binomial(k, r, p) for r in range(0, k + 1)]
+            # the cap is checked on the closed form before enumerating
+            assert subspace_count(p, k) == sum(counts)
+    assert subspace_count(2, 7) == 29_212
+    assert subspace_count(3, 6) == 56_632
+    assert subspace_count(3, 7) == 2_052_656
+
+
+def test_echelon_subspaces_are_rref():
+    for p, k, r in [(2, 5, 2), (3, 4, 3), (5, 3, 2), (7, 3, 1)]:
+        bases = echelon_subspaces(p, k, r)
+        assert bases.shape == (gaussian_binomial(k, r, p), r, k)
+        for basis in bases:
+            rref, pivots = FieldMatrix(p, basis).rref()
+            assert rref.data.tolist() == basis.tolist() and len(pivots) == r
 
 
 def test_echelon_subspaces_distinct():
@@ -181,6 +198,101 @@ def test_weights_coincide_random_campaign():
         assert (report.e, report.e_tilde, report.g) == greedy_bruteforce(C)
 
 
+def _reed_solomon(p: int, k: int, extended: bool = False) -> LinearCode:
+    rows = [[pow(x, i, p) for x in range(p)] for i in range(k)]
+    if extended:  # the point at infinity keeps the code MDS
+        rows = [row + [int(i == k - 1)] for i, row in enumerate(rows)]
+    return LinearCode(FieldMatrix(p, rows))
+
+
+def _repeated_columns(p: int, k: int, times: int) -> LinearCode:
+    return LinearCode(FieldMatrix(p, np.hstack([np.eye(k, dtype=int)] * times)))
+
+
+def _single_parity_check(p: int, k: int) -> LinearCode:
+    return LinearCode(FieldMatrix(p, np.hstack([np.eye(k, dtype=int), np.ones((k, 1), int)])))
+
+
+def _tie_heavy_codes() -> list[LinearCode]:
+    """MDS codes and codes with repeated columns: several subcodes share the
+    least weight, so greedy frontiers hold more than one subcode."""
+    return [
+        _reed_solomon(5, 4),
+        _reed_solomon(5, 4, extended=True),
+        _single_parity_check(2, 6),
+        _single_parity_check(3, 5),
+        _repeated_columns(2, 6, 2),
+        _repeated_columns(3, 4, 3),
+        _repeated_columns(5, 4, 2),
+    ]
+
+
+def _direct_sum(rng: np.random.Generator, p: int, k: int) -> LinearCode:
+    """Random [n1, k1] + [n2, k2] code, n1 + n2 <= 12: a light short part
+    next to a long one often makes the greedy weights differ from d."""
+    k1 = int(rng.integers(1, 3))
+    n1 = int(rng.integers(k1 + 1, 5))
+    n2 = int(rng.integers(k - k1 + 1, 13 - n1))
+    gen = np.zeros((k, n1 + n2), dtype=int)
+    gen[:k1, :n1] = random_code(rng, p, n1, k1).generator.data
+    gen[k1:, n1:] = random_code(rng, p, n2, k - k1).generator.data
+    return LinearCode(FieldMatrix(p, gen))
+
+
+def _larger_k_codes(ternary84_code) -> list[LinearCode]:
+    """Codes with k 4..6 and n <= 12 over GF(2), GF(3), GF(5): random ones,
+    direct sums and the tie-heavy ones."""
+    rng = np.random.default_rng(4646)
+    codes = [ternary84_code, *_tie_heavy_codes()]
+    for p, kmax in ((2, 6), (3, 5), (5, 4)):
+        for _ in range(6):
+            n = int(rng.integers(7, 13))
+            codes.append(random_code(rng, p, n, int(rng.integers(4, kmax + 1))))
+            codes.append(_direct_sum(rng, p, int(rng.integers(4, kmax + 1))))
+    return codes
+
+
+def test_subcode_oracle_matches_ladder_route_larger_k(ternary84_code):
+    # the ladder route against the batched subcode enumeration beyond the
+    # k <= 3 campaigns, ties and non-chained codes included
+    codes = _larger_k_codes(ternary84_code)
+    not_chained = 0
+    for C in codes:
+        assert 4 <= C.k <= 6 and C.n <= 12
+        report = code_weights(C)
+        assert (report.d, report.e, report.e_tilde, report.g) == subcode_weights(C), C
+        not_chained += not report.chained
+    assert not_chained >= 3
+    for C in _tie_heavy_codes():
+        # several least-weight subcodes of each dimension 1..k-1
+        for r in range(1, C.k):
+            words = echelon_subspaces(C.p, C.k, r) @ C.generator.data % C.p
+            weights = [weight(w) for w in words]
+            assert weights.count(min(weights)) > 1, (C, r)
+
+
+def test_subcode_oracle_small_chunks(monkeypatch, ternary84_code):
+    # chunks of a few pairs split every containment test into many pieces
+    monkeypatch.setattr(codes_mod, "CHUNK_ENTRIES", 64)
+    for C in _larger_k_codes(ternary84_code):
+        report = code_weights(C)
+        assert (report.d, report.e, report.e_tilde, report.g) == subcode_weights(C), C
+
+
+def test_cap_trips_before_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(codes_mod, "echelon_subspaces", refuse)
+    ternary7 = LinearCode(FieldMatrix(3, np.hstack([np.eye(7, dtype=int)] * 2)))
+    with pytest.raises(CapExceeded):
+        ghw_bruteforce(ternary7, 1)
+    with pytest.raises(CapExceeded):
+        greedy_bruteforce(ternary7)
+    with pytest.raises(CapExceeded):
+        subcode_weights(MDS42, cap=subspace_count(3, 2) - 1)
+
+
 def test_greedy_subcode_supports_are_ladder_members():
     # supports of optimal greedy subcodes found by the oracle are cycles of
     # the matching level
@@ -200,8 +312,6 @@ def test_d_computing_subcode_supports_are_minimal_cycles():
     # every r-dimensional subcode of minimal weight, found by exhaustive
     # enumeration, has a support that is inclusion-minimal for nullity r
     rng = np.random.default_rng(404)
-    from matgreedy.codes import _subspace_weight, echelon_subspaces
-
     for _ in range(12):
         C = random_code(rng, int(rng.choice([2, 3])), int(rng.integers(2, 9)), 2)
         M = code_matroid(C)
@@ -209,10 +319,9 @@ def test_d_computing_subcode_supports_are_minimal_cycles():
         for r in range(1, C.k + 1):
             d_r = ghw_bruteforce(C, r)
             for basis in echelon_subspaces(C.p, C.k, r):
-                if _subspace_weight(C, basis) == d_r:
-                    words = (basis @ C.generator.data) % C.p
-                    mask = support(words)
-                    assert lad.contains(r, mask)
+                words = (basis @ C.generator.data) % C.p
+                if weight(words) == d_r:
+                    assert lad.contains(r, support(words))
 
 
 def test_zero_dimensional_code():
