@@ -25,7 +25,7 @@ from .codes import (
 )
 from .errors import CapExceeded, InputError, MatGreedyError
 from .gfp import FieldMatrix, PrimeField, format_matrix, parse_matrix
-from .ladder import CycleLadder, bruteforce_ladder, circuits, covers, is_cycle, ladder
+from .ladder import CycleLadder, circuits, covers, is_cycle, ladder
 from .matroid import (
     Matroid,
     from_circuits,
@@ -38,7 +38,6 @@ from .matroid import (
 from .wei import ChainProfile, check_wei_classical, check_wei_greedy, delta_chain
 from .weights import (
     WeightReport,
-    chains_bruteforce,
     greedy_bottom_up,
     greedy_cez,
     greedy_top_down,
@@ -66,8 +65,6 @@ __all__ = [
     "betti_support",
     "betti_value",
     "betti_values",
-    "bruteforce_ladder",
-    "chains_bruteforce",
     "check_wei_classical",
     "check_wei_greedy",
     "circuits",

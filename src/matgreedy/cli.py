@@ -153,7 +153,13 @@ def _cmd_chained(M: Matroid, config: RunConfig, code=None) -> dict:
 def _cmd_validate(
     M: Matroid, config: RunConfig, code: codes_mod.LinearCode | None
 ) -> dict:
-    doc: dict = {"axioms": validate_axioms(M, seed=config.seed).to_json_dict()}
+    axioms = validate_axioms(M, seed=config.seed)
+    doc: dict = {"axioms": axioms.to_json_dict()}
+    if not axioms.ok:
+        return doc
+    # the ladder of a non-matroid fails its own invariant, so it is built
+    # only once the axioms hold
+    build_ladder(M, cap=config.cap_subsets)
     if (
         code is not None
         and codes_mod.subspace_count(code.p, code.k) <= config.cap_subspaces
@@ -241,7 +247,8 @@ def run(config: RunConfig) -> tuple[int, str]:
     command = COMMANDS[config.command]
     try:
         M, code = _load_input(config.input_path)
-        build_ladder(M, cap=config.cap_subsets)
+        if config.command != "validate":
+            build_ladder(M, cap=config.cap_subsets)
         doc = command.handler(M, config, code)
         if config.dump_ladder:
             doc["ladder"] = build_ladder(M).to_json_dict()

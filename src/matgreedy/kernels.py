@@ -1,5 +1,5 @@
 """Batched integer kernels: mod-p elimination, column-subset ranks, circuit
-ranks, weighted containment sums and the inclusion-minimality filter.
+ranks, containment tests and weighted containment sums.
 
 Each kernel treats a whole batch of subset masks with numpy array operations.
 Batches are split into chunks so that no temporary holds more than about
@@ -190,22 +190,3 @@ def circuit_ranks(masks, circuits, n):
             rows = rows[~contains_any(indep[rows] | bit, through)]
         indep[rows] |= bit
     return popcounts(indep)
-
-
-def filter_minimal(masks):
-    """Keep-flags for the inclusion-minimal members of masks.
-
-    masks must be sorted ascending by (popcount, value); then a mask can only
-    contain masks before it.  Each popcount group is tested at once against
-    the kept masks of the smaller groups: containment is transitive, so this
-    gives the flags of a scan against every earlier mask.  A repeated mask
-    is dropped after its first copy.
-    """
-    masks = np.asarray(masks, dtype=np.uint64)
-    keep = np.ones(masks.shape[0], dtype=bool)
-    keep[1:] = masks[1:] != masks[:-1]
-    sizes = popcounts(masks)
-    starts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist()]
-    for lo, hi in zip(starts, starts[1:] + [masks.shape[0]]):
-        keep[lo:hi] &= ~contains_any(masks[lo:hi], masks[:lo][keep[:lo]])
-    return keep

@@ -1,12 +1,13 @@
-"""Circuit enumeration and the ladder N_1..N_t of inclusion-minimal sets of
-each nullity.
+"""Circuit enumeration and the cycle ladder N_1..N_t.
 
-Level 1 is the circuit set.  Level l is generated upward as unions of a
-level-(l-1) member with a circuit, filtered to nullity exactly l and then to
-inclusion-minimal members; every minimal nullity-l set arises this way, so
-the generation is complete.  Each level's unions, nullities and minimality
-test are computed as whole arrays of masks.  A full-subset-scan oracle is
-kept alongside for cross-checking at small n.
+N_l is the set of cycles (unions of circuits) of nullity l.  For a matroid
+these are exactly the inclusion-minimal sets of nullity l: cycles are the
+complements of the flats of the dual, and flats of equal rank are never
+nested (Oxley, Matroid Theory, 2nd ed.).  Level 1 is the circuit set, and
+level l is generated upward as the unions of a level-(l-1) member with a
+circuit that have nullity exactly l; every cycle of nullity l arises this
+way, and no minimality test is needed.  Each level's unions and nullities
+are computed as whole arrays of masks.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ def _sort_key(mask: int) -> tuple[int, int]:
     return (popcount(mask), mask)
 
 
-def _minimal_members(masks) -> tuple[int, ...]:
-    """Inclusion-minimal members of a collection of masks, sorted."""
-    arr = kernels.distinct(masks)
-    if not arr.size:
-        return ()
-    arr = arr[np.argsort(kernels.popcounts(arr), kind="stable")]
-    return tuple(arr[kernels.filter_minimal(arr)].tolist())
-
-
 def _unions(prev: np.ndarray, circs: np.ndarray) -> np.ndarray:
     """Distinct unions rho | c (rho in prev, c in circs) strictly above rho."""
     parts = [np.zeros(0, dtype=np.uint64)]
@@ -52,7 +44,8 @@ def _unions(prev: np.ndarray, circs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CycleLadder:
-    """levels[i-1] is the sorted antichain N_i, for i in 1..t."""
+    """levels[i-1] is N_i, the cycles of nullity i sorted by (cardinality,
+    mask), for i in 1..t."""
 
     t: int
     levels: tuple[tuple[int, ...], ...]
@@ -117,7 +110,8 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
 
     cap bounds the total number of candidate unions examined; huge ladders
     (duals of large-corank matroids, say) fail explicitly instead of
-    thrashing.
+    thrashing.  Raises AssertionError when the top level is not the single
+    set E minus the coloops, as for every matroid: the input is not one.
     """
     if M._ladder is not None:
         return M._ladder
@@ -137,31 +131,29 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
                 )
             candidates = _unions(prev, circ_arr)
             nullity = kernels.popcounts(candidates) - M.ranks(candidates)
-            level = _minimal_members(candidates[nullity == lvl_idx])
-            levels.append(level)
-            prev = np.array(level, dtype=np.uint64)
+            prev = candidates[nullity == lvl_idx]
+            # distinct and ascending already: a stable sort by cardinality
+            # gives the (cardinality, mask) order
+            prev = prev[np.argsort(kernels.popcounts(prev), kind="stable")]
+            levels.append(tuple(prev.tolist()))
+        # the top cycle is the union of all circuits, E minus the coloops
+        top = int(np.bitwise_or.reduce(circ_arr, initial=np.uint64(0)))
+        if levels[-1] != (top,):
+            raise AssertionError(
+                f"ladder level {t} is not the single set E minus the coloops; "
+                "the input is not a matroid"
+            )
     lad = CycleLadder(t=t, levels=tuple(levels))
     M._ladder = lad
     return lad
 
 
-def bruteforce_ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
-    """Oracle: minimal nullity-i sets by exhaustive scan of all 2^n subsets."""
-    if (1 << M.n) > cap:
-        raise CapExceeded(f"2^{M.n} subsets exceed the cap {cap}")
-    t = M.corank
-    masks = np.arange(1 << M.n, dtype=np.uint64)
-    nullity = kernels.popcounts(masks) - M.ranks(masks)
-    return CycleLadder(
-        t=t, levels=tuple(_minimal_members(masks[nullity == i]) for i in range(1, t + 1))
-    )
-
-
 def is_cycle(M: Matroid, mask: int) -> tuple[bool, int]:
-    """Whether mask is inclusion-minimal for its own (positive) nullity.
+    """Whether mask is a cycle of positive nullity, with that nullity.
 
-    Single-element deletions suffice: by monotonicity any smaller witness of
-    equal nullity forces some one-element deletion to preserve it.
+    This is the coloop test of M|X: X is a union of circuits iff no element
+    of X is a coloop of M|X, that is, iff deleting any one element lowers
+    the nullity.  Cycles of nullity l are exactly the level-l ladder members.
     """
     nl = M.nullity(mask)
     if nl == 0:

@@ -6,20 +6,16 @@ bottom-up (lex-minimal) profile the frontier at level l holds every ladder
 member that ends an optimal length-l prefix; prefix feasibility depends only
 on that endpoint, and every ladder member extends to the next level, so the
 sweep is exact.  The top-down (revlex-minimal) profile is the mirrored sweep
-from the top.  chains_bruteforce is an independent exhaustive-DFS oracle
-(memoized on chain endpoints) used to cross-check both.
+from the top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded
 from .ladder import is_cycle, ladder
 from .masks import is_subset, popcount, to_labels
 from .matroid import Matroid
-
-DEFAULT_CHAIN_CAP = 5_000_000
 
 
 def hamming_weights(M: Matroid) -> tuple[int, ...]:
@@ -107,64 +103,6 @@ def greedy_cez(M: Matroid) -> tuple[tuple[int, ...], tuple[tuple[int | None, int
         g.append(popcount(witness[1]))
         pairs.append(witness)
     return tuple(g), tuple(pairs)
-
-
-def chains_bruteforce(
-    M: Matroid, cap: int = DEFAULT_CHAIN_CAP
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exact lex- and revlex-minimal profiles by exhaustive chain search.
-
-    Dynamic programming over chain endpoints: the suffix DP carries, for each
-    ladder member, the lex-minimal profile of all chains through it upward;
-    the prefix DP the revlex-minimal profile downward.  Equivalent to plain
-    DFS over every maximal chain, independently of the frontier sweeps.
-    """
-    lad = ladder(M)
-    if lad.t == 0:
-        return (), ()
-    work = 0
-    adj: dict[tuple[int, int], list[int]] = {}
-    for l in range(1, lad.t):
-        for sigma in lad.level(l):
-            ups = []
-            for mu in lad.level(l + 1):
-                work += 1
-                if work > cap:
-                    raise CapExceeded(f"chain search exceeded {cap} subset tests")
-                if is_subset(sigma, mu):
-                    ups.append(mu)
-            adj[(l, sigma)] = ups
-    suffix: dict[int, tuple[int, ...]] = {
-        sigma: (popcount(sigma),) for sigma in lad.level(lad.t)
-    }
-    for l in range(lad.t - 1, 0, -1):
-        nxt: dict[int, tuple[int, ...]] = {}
-        for sigma in lad.level(l):
-            ups = adj[(l, sigma)]
-            assert ups, "every ladder member has a cover"
-            nxt[sigma] = (popcount(sigma),) + min(suffix[mu] for mu in ups)
-        suffix = nxt
-    lex_min = min(suffix.values())
-
-    def revkey(profile: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(reversed(profile))
-
-    prefix: dict[int, tuple[int, ...]] = {
-        sigma: (popcount(sigma),) for sigma in lad.level(1)
-    }
-    for l in range(2, lad.t + 1):
-        nxt = {}
-        for mu in lad.level(l):
-            below = [
-                prefix[tau]
-                for tau in lad.level(l - 1)
-                if is_subset(tau, mu)
-            ]
-            assert below, "every ladder member contains a lower one"
-            nxt[mu] = min(below, key=revkey) + (popcount(mu),)
-        prefix = nxt
-    revlex_min = min(prefix.values(), key=revkey)
-    return lex_min, revlex_min
 
 
 def is_chained(M: Matroid) -> tuple[bool, tuple[int, ...] | None]:

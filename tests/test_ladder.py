@@ -9,17 +9,19 @@ import numpy as np
 import pytest
 
 from matgreedy.errors import CapExceeded, InputError
-from matgreedy.ladder import (
-    bruteforce_ladder,
-    circuits,
-    covers,
-    is_cycle,
-    ladder,
+from matgreedy.ladder import circuits, covers, is_cycle, ladder
+from matgreedy.masks import (
+    from_labels,
+    full_mask,
+    is_subset,
+    popcount,
+    singletons,
+    to_labels,
 )
-from matgreedy.masks import from_labels, full_mask, is_subset, popcount, to_labels
 from matgreedy.matroid import from_circuits, from_parity_check, uniform
 from matgreedy.gfp import FieldMatrix
 from tests.conftest import random_matroid
+from tests.ladder_oracle import bruteforce_ladder
 
 
 def test_free_matroid_empty_ladder():
@@ -172,10 +174,17 @@ def test_covers_nonempty_below_top(small_corpus):
 
 
 def test_max_chain_reaches_corank(small_corpus):
-    for M in small_corpus:
+    # the top level is the one cycle of nullity t: E minus the coloops of M
+    rng = np.random.default_rng(4242)
+    pool = list(small_corpus) + [
+        random_matroid(rng, int(rng.integers(2, 11))) for _ in range(30)
+    ]
+    for M in pool:
         lad = ladder(M)
         if lad.t:
-            assert len(lad.level(lad.t)) >= 1
+            E = full_mask(M.n)
+            coloops = [b for b in singletons(E) if M.rank(E & ~b) < M.full_rank]
+            assert lad.level(lad.t) == (E & ~sum(coloops),)
 
 
 def test_bruteforce_cap():

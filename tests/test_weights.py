@@ -11,7 +11,6 @@ from matgreedy.ladder import is_cycle
 from matgreedy.masks import from_labels, full_mask, is_subset, popcount
 from matgreedy.matroid import Matroid, from_circuits, uniform
 from matgreedy.weights import (
-    chains_bruteforce,
     greedy_bottom_up,
     greedy_cez,
     greedy_top_down,
@@ -20,6 +19,7 @@ from matgreedy.weights import (
     weight_report,
 )
 from tests.conftest import random_matroid
+from tests.ladder_oracle import chains_bruteforce
 
 
 def unrestricted_chain_minima(M: Matroid):
