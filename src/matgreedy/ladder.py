@@ -155,13 +155,10 @@ def is_cycle(M: Matroid, mask: int) -> tuple[bool, int]:
     of X is a coloop of M|X, that is, iff deleting any one element lowers
     the nullity.  Cycles of nullity l are exactly the level-l ladder members.
     """
-    nl = M.nullity(mask)
-    if nl == 0:
-        return False, nl
-    for bit in singletons(mask):
-        if M.nullity(mask & ~bit) == nl:
-            return False, nl
-    return True, nl
+    r = M.ranks([mask] + [mask & ~bit for bit in singletons(mask)])
+    nl = popcount(mask) - int(r[0])
+    # deleting e leaves the rank unchanged iff e is not a coloop of M|X
+    return nl > 0 and bool(np.all(r[1:] == r[0])), nl
 
 
 def covers(M: Matroid, rho: int) -> tuple[int, ...]:

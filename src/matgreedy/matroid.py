@@ -1,10 +1,10 @@
 """Matroids with rank/nullity oracles: linear over GF(p), circuit-defined,
 uniform, and duals.
 
-Every matroid is immutable after construction; rank queries are memoized per
-instance and can be asked for a whole batch of subsets at once, and linear
-matroids on small ground sets precompute a full rank table with the
-subset_ranks kernel.  Labels are 1-based throughout.
+Every matroid is immutable after construction.  Each kind answers rank
+queries for a whole batch of subsets at once; linear matroids on small
+ground sets precompute a full rank table with the subset_ranks kernel.
+Labels are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,6 @@ class Matroid:
         if not 0 <= n <= MAX_GROUND_SET:
             raise InputError(f"ground-set size must be in 0..{MAX_GROUND_SET}")
         self.n = n
-        self._cache: dict[int, int] = {}
         self._circuits: tuple[int, ...] | None = None
         self._ladder = None
         # the matroid this one is the dual of, if it was built as one
@@ -49,51 +49,31 @@ class Matroid:
 
     # -- rank oracle ----------------------------------------------------
 
-    # a subclass defines _rank, _ranks or both; each defaults to the other
-
-    def _rank(self, mask: int) -> int:
-        return int(self._ranks(np.array([mask], dtype=np.uint64))[0])
-
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
-        """Ranks of a uint64 array of in-range masks, as int64."""
-        return np.array([self._rank(m) for m in masks.tolist()], dtype=np.int64)
-
-    def rank(self, mask: int) -> int:
-        if mask & ~full_mask(self.n):
-            raise InputError("subset extends beyond the ground set")
-        cached = self._cache.get(mask)
-        if cached is None:
-            cached = self._rank(mask)
-            self._cache[mask] = cached
-        return cached
+        """Ranks of a uint64 array of in-range masks, as int64; every kind
+        defines this."""
+        raise NotImplementedError
 
     def ranks(self, masks) -> np.ndarray:
         """Ranks of a batch of masks as an int64 array, in the given order.
 
-        The masks not yet memoized go to the rank kernel in one call.
+        Every mask must be an integer in [0, 2^n); anything else is refused
+        before the cast to uint64, which would wrap or truncate it.
         """
-        masks = np.asarray(masks, dtype=np.uint64)
-        cache = self._cache
-        out = np.fromiter(
-            (cache.get(m, -1) for m in masks.tolist()), dtype=np.int64, count=masks.size
-        )
-        todo = out < 0
-        if todo.any():
-            missing = kernels.distinct(masks[todo])
-            if np.any(missing & ~np.uint64(full_mask(self.n))):
-                raise InputError("subset extends beyond the ground set")
-            found = self._ranks(missing)
-            cache.update(zip(missing.tolist(), found.tolist()))
-            out[todo] = found[np.searchsorted(missing, masks[todo])]
-        return out
+        masks = np.asarray(masks)
+        if masks.size and (
+            masks.dtype.kind not in "iu" or masks.min() < 0 or int(masks.max()) >> self.n
+        ):
+            raise InputError(f"subset masks must be integers in [0, 2^{self.n})")
+        return self._ranks(masks.astype(np.uint64, copy=False))
+
+    def rank(self, mask: int) -> int:
+        return int(self.ranks([mask])[0])
 
     def nullity(self, mask: int) -> int:
         return popcount(mask) - self.rank(mask)
 
-    def is_independent(self, mask: int) -> bool:
-        return self.rank(mask) == popcount(mask)
-
-    @property
+    @cached_property
     def full_rank(self) -> int:
         return self.rank(full_mask(self.n))
 
@@ -105,7 +85,7 @@ class Matroid:
     def dual(self) -> "Matroid":
         """The dual matroid; dual().dual() is self.
 
-        Calls share one dual, with its rank memo and ladder, while a caller
+        Calls share one dual, with its circuits and ladder, while a caller
         holds it.  Self refers to it only weakly, so the pair forms no
         reference cycle and is freed by reference counting.
         """
@@ -141,22 +121,17 @@ class LinearMatroid(Matroid):
     def __init__(self, matrix: FieldMatrix):
         super().__init__(matrix.ncols)
         self.matrix = matrix
-        self._table: np.ndarray | None = None
 
-    def _rank_table(self) -> np.ndarray | None:
-        if self._table is None and self.n <= RANK_TABLE_MAX_N:
-            self._table = kernels.subset_ranks(self.matrix.data, self.p)
-        return self._table
-
-    def _rank(self, mask: int) -> int:
-        table = self._rank_table()
-        return super()._rank(mask) if table is None else int(table[mask])
+    @cached_property
+    def _table(self) -> np.ndarray | None:
+        if self.n <= RANK_TABLE_MAX_N:
+            return kernels.subset_ranks(self.matrix.data, self.p)
+        return None
 
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
-        table = self._rank_table()
-        if table is None:
+        if self._table is None:
             return kernels.column_ranks(self.matrix.data, masks, self.p)
-        return table[masks].astype(np.int64)
+        return self._table[masks].astype(np.int64)
 
     @property
     def p(self) -> int:
@@ -223,8 +198,8 @@ class UniformMatroid(Matroid):
             raise InputError(f"uniform rank must satisfy 0 <= r <= n, got r={r}, n={n}")
         self.r = r
 
-    def _rank(self, mask: int) -> int:
-        return min(popcount(mask), self.r)
+    def _ranks(self, masks: np.ndarray) -> np.ndarray:
+        return np.minimum(kernels.popcounts(masks), self.r)
 
     def _build_dual(self) -> "Matroid":
         return UniformMatroid(self.n - self.r, self.n)
@@ -244,13 +219,9 @@ class DualMatroid(Matroid):
         self._dual_of = inner
         inner._dual_ref = weakref.ref(self)
 
-    def _rank(self, mask: int) -> int:
-        comp = full_mask(self.n) & ~mask
-        return popcount(mask) + self.inner.rank(comp) - self.inner.full_rank
-
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
         comp = np.uint64(full_mask(self.n)) ^ masks
-        return kernels.popcounts(masks) + self.inner.ranks(comp) - self.inner.full_rank
+        return kernels.popcounts(masks) + self.inner._ranks(comp) - self.inner.full_rank
 
     def to_descriptor(self) -> dict:
         return {"type": "dual", "of": self.inner.to_descriptor()}
@@ -314,7 +285,7 @@ def validate_axioms(M: Matroid, seed: int = 0, samples: int = 4096) -> AxiomRepo
     clean local scan proves the global axioms.  Larger ground sets are
     checked on randomly sampled subsets.  Each increment is tested for all
     sets at once, elements of X included: those leave the rank unchanged and
-    so pass every check.
+    so pass every check.  M.ranks is asked once, for every set read.
     """
     n = M.n
     exhaustive = n <= 12
@@ -325,7 +296,15 @@ def validate_axioms(M: Matroid, seed: int = 0, samples: int = 4096) -> AxiomRepo
         rng = np.random.default_rng(seed)
         draws = rng.integers(0, 1 << 63, samples).astype(np.uint64)
         sets = kernels.distinct(draws & np.uint64(full_mask(n)))
-        rank_of = M.ranks
+        # X, X+a and X+a+b for every sampled X and elements a <= b
+        grow = np.array([0] + [1 << a | 1 << b for b in range(n) for a in range(b + 1)],
+                        dtype=np.uint64)
+        read = kernels.distinct((sets[:, None] | grow).ravel())
+        read_ranks = M.ranks(read)
+
+        def rank_of(masks: np.ndarray) -> np.ndarray:
+            return read_ranks[np.searchsorted(read, masks)]
+
     report = AxiomReport(n=n, exhaustive=exhaustive, checked_sets=len(sets))
     found = report.violations
     rx, card = rank_of(sets), kernels.popcounts(sets)

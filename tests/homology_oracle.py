@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from matgreedy.masks import to_labels
+from matgreedy.masks import from_labels, to_labels
 from matgreedy.matroid import Matroid
 
 
@@ -64,14 +64,9 @@ def faces_of_size(M: Matroid, X: int, size: int) -> list[tuple[int, ...]]:
     labels = to_labels(X)
     if size > len(labels):
         return []
-    out = []
-    for comb in combinations(labels, size):
-        mask = 0
-        for lab in comb:
-            mask |= 1 << (lab - 1)
-        if M.is_independent(mask):
-            out.append(comb)
-    return out
+    combs = list(combinations(labels, size))
+    independent = M.ranks([from_labels(c) for c in combs]) == size
+    return [c for c, ok in zip(combs, independent) if ok]
 
 
 def boundary_matrix(

@@ -93,6 +93,16 @@ def test_validate_command_matroid():
     assert doc["axioms"]["ok"] is True
 
 
+def test_validate_m23_stdout_pinned():
+    # the sampled path: n = 23 is above the exhaustive bound
+    status, out = run(RunConfig(command="validate", input_path=M23))
+    assert status == 0
+    assert out == (
+        '{\n  "axioms": {\n    "checked_sets": 4096,\n    "exhaustive": false,\n'
+        '    "ok": true,\n    "violations": []\n  }\n}\n'
+    )
+
+
 def test_validate_command_code_oracle():
     status, doc = run_cmd("validate", CODE8)
     assert status == 0

