@@ -23,7 +23,7 @@ from .codes import (
     subcode_weights,
     support,
 )
-from .errors import CapExceeded, InputError, MatGreedyError
+from .errors import CapExceeded, InputError, InvariantError, MatGreedyError
 from .gfp import FieldMatrix, PrimeField, format_matrix, parse_matrix
 from .ladder import CycleLadder, circuits, covers, is_cycle, ladder
 from .matroid import (
@@ -55,6 +55,7 @@ __all__ = [
     "CycleLadder",
     "FieldMatrix",
     "InputError",
+    "InvariantError",
     "LinearCode",
     "MatGreedyError",
     "Matroid",

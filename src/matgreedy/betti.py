@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InvariantError
 from .ladder import ladder
 from .masks import is_subset, popcount, to_labels
 from .matroid import Matroid
@@ -152,7 +152,7 @@ def betti_values(M: Matroid) -> BettiDiagram:
     ):
         wrong = np.flatnonzero(mu * (-1) ** i <= 0)
         if wrong.size:
-            raise AssertionError(
+            raise InvariantError(
                 f"support pair ({i}, {to_labels(level[wrong[0]])}) has "
                 f"mu = {mu[wrong[0]]}, want a nonzero value of sign (-1)^{i}"
             )

@@ -14,3 +14,12 @@ class CapExceeded(MatGreedyError):
 
     Raised instead of returning a possibly-partial answer.
     """
+
+
+class InvariantError(MatGreedyError):
+    """A result broke an invariant of every matroid (kept under python -O)."""
+
+
+def require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvariantError(message)

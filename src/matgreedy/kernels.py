@@ -1,5 +1,5 @@
 """Batched integer kernels: mod-p elimination, column-subset ranks, circuit
-ranks, containment tests and weighted containment sums.
+ranks and closures, containment tests and weighted containment sums.
 
 Each kernel treats a whole batch of subset masks with numpy array operations.
 Batches are split into chunks so that no temporary holds more than about
@@ -168,6 +168,20 @@ def subset_sums(masks, subsets, weights):
     out = np.zeros(len(masks), dtype=np.int64)
     for rows, inside in _contained(masks, subsets):
         out[rows] = np.where(inside, weights, 0).sum(axis=1)
+    return out
+
+
+def circuit_closures(masks, circuits):
+    """Closure of each mask in a matroid given by its circuit masks: X plus
+    the one element of C - X for every circuit C with |C - X| = 1."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    out = masks.copy()
+    step = max(1, CHUNK_ENTRIES // max(1, circuits.size))
+    for start in range(0, masks.shape[0], step):
+        outside = circuits & ~masks[start : start + step, None]
+        # an empty C - X passes this one-bit test too, and adds nothing
+        single = (outside & (outside - np.uint64(1))) == 0
+        out[start : start + step] |= np.bitwise_or.reduce(np.where(single, outside, 0), axis=1)
     return out
 
 

@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from . import kernels
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InvariantError
 from .masks import from_labels, is_subset, popcount, singletons, to_labels
 from .matroid import Matroid, UniformMatroid
 
@@ -31,7 +31,7 @@ def _sort_key(mask: int) -> tuple[int, int]:
     return (popcount(mask), mask)
 
 
-def _unions(prev: np.ndarray, circs: np.ndarray) -> np.ndarray:
+def unions(prev: np.ndarray, circs: np.ndarray) -> np.ndarray:
     """Distinct unions rho | c (rho in prev, c in circs) strictly above rho."""
     parts = [np.zeros(0, dtype=np.uint64)]
     step = max(1, kernels.CHUNK_ENTRIES // circs.size)
@@ -110,7 +110,7 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
 
     cap bounds the total number of candidate unions examined; huge ladders
     (duals of large-corank matroids, say) fail explicitly instead of
-    thrashing.  Raises AssertionError when the top level is not the single
+    thrashing.  Raises InvariantError when the top level is not the single
     set E minus the coloops, as for every matroid: the input is not one.
     """
     if M._ladder is not None:
@@ -129,7 +129,7 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
                 raise CapExceeded(
                     f"ladder generation examined more than {cap} candidate unions"
                 )
-            candidates = _unions(prev, circ_arr)
+            candidates = unions(prev, circ_arr)
             nullity = kernels.popcounts(candidates) - M.ranks(candidates)
             prev = candidates[nullity == lvl_idx]
             # distinct and ascending already: a stable sort by cardinality
@@ -139,7 +139,7 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
         # the top cycle is the union of all circuits, E minus the coloops
         top = int(np.bitwise_or.reduce(circ_arr, initial=np.uint64(0)))
         if levels[-1] != (top,):
-            raise AssertionError(
+            raise InvariantError(
                 f"ladder level {t} is not the single set E minus the coloops; "
                 "the input is not a matroid"
             )

@@ -60,8 +60,11 @@ class Matroid:
         Every mask must be an integer in [0, 2^n); anything else is refused
         before the cast to uint64, which would wrap or truncate it.
         """
+        # np.asarray would turn a True among integers into 1
+        has_bool = not isinstance(masks, np.ndarray) and any(
+            isinstance(m, (bool, np.bool_)) for m in masks)
         masks = np.asarray(masks)
-        if masks.size and (
+        if has_bool or masks.size and (
             masks.dtype.kind not in "iu" or masks.min() < 0 or int(masks.max()) >> self.n
         ):
             raise InputError(f"subset masks must be integers in [0, 2^{self.n})")
@@ -69,6 +72,21 @@ class Matroid:
 
     def rank(self, mask: int) -> int:
         return int(self.ranks([mask])[0])
+
+    def closures(self, masks) -> np.ndarray:
+        """cl(X) = X + {e : r(X + e) = r(X)} for each mask of a batch, as
+        uint64, with one rank query per chunk."""
+        masks = np.asarray(masks, dtype=np.uint64)
+        bits = np.uint64(1) << np.arange(self.n, dtype=np.uint64)
+        out = masks.copy()
+        step = max(1, kernels.CHUNK_ENTRIES // (self.n + 1))
+        for start in range(0, masks.size, step):
+            chunk = masks[start : start + step]
+            grown = chunk[:, None] | bits
+            r = self.ranks(np.concatenate([chunk, grown.ravel()]))
+            same = r[chunk.size :].reshape(grown.shape) == r[: chunk.size, None]
+            out[start : start + step] |= np.bitwise_or.reduce(np.where(same, bits, 0), axis=1)
+        return out
 
     def nullity(self, mask: int) -> int:
         return popcount(mask) - self.rank(mask)
@@ -178,6 +196,9 @@ class CircuitMatroid(Matroid):
 
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
         return kernels.circuit_ranks(masks, self._circ_arr, self.n)
+
+    def closures(self, masks) -> np.ndarray:
+        return kernels.circuit_closures(masks, self._circ_arr)
 
     def to_descriptor(self) -> dict:
         return {

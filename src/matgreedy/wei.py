@@ -5,17 +5,24 @@ through complements, a chain for the dual matroid whose cardinalities are
 {1..n} minus {n+1-c_i}.  The duality checks assert the resulting
 disjoint-union identities for the greedy and classical weight families; they
 double as end-to-end oracles for the whole weights pipeline.
+
+Neither check builds the dual's ladder: its level l is {E - F : F a flat of
+M of rank r - l} (Oxley, Matroid Theory, 2nd ed.), so its e-tilde comes from
+a walk up the flats of M and its d from the largest set of each rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
-from .ladder import ladder
+import numpy as np
+
+from . import kernels
+from .errors import CapExceeded, InputError, require
+from .ladder import ladder, unions
 from .masks import full_mask, is_subset, popcount, singletons, to_labels
 from .matroid import Matroid
-from .weights import greedy_bottom_up, greedy_top_down, hamming_weights
+from .weights import greedy_bottom_up, hamming_weights
 
 
 @dataclass(frozen=True)
@@ -95,27 +102,58 @@ def _identity_report(n: int, left, right) -> dict:
     }
 
 
-def _capped_dual(M: Matroid, cap: int | None) -> Matroid:
-    """The dual, with both ladders built under cap when one is given."""
-    dual = M.dual()
-    if cap is not None:
-        ladder(M, cap=cap)
-        ladder(dual, cap=cap)
-    return dual
+def dual_greedy_top_down(M: Matroid, cap: int | None = None) -> tuple[int, ...]:
+    """greedy_top_down(M.dual())[0], walking up the flats of M.
+
+    E - G lies in E - F iff F lies in G, so the dual's top-down sweep starts
+    at cl(empty) and, rank by rank, closes every F + e of the frontier and
+    keeps the largest of these covers; e-tilde(M*)_l = n - (its size at rank
+    r - l).  cap bounds the distinct sets F + e of a rank, before closing.
+    """
+    bits = np.uint64(1) << np.arange(M.n, dtype=np.uint64)
+    frontier = M.closures(np.zeros(1, dtype=np.uint64))
+    sizes, found = [popcount(int(frontier[0]))], [np.zeros(0, dtype=np.uint64)]
+    for k in range(1, M.full_rank + 1):
+        grown = unions(frontier, bits)
+        if cap is not None and grown.size > cap:
+            raise CapExceeded(
+                f"the flats walk at rank {k} needs {grown.size} closures, more than {cap}"
+            )
+        found.append(kernels.distinct(M.closures(grown)))
+        card = kernels.popcounts(found[-1])
+        sizes.append(int(card.max(initial=0)))
+        frontier = found[-1][card == sizes[-1]]
+    # every cover is ranked in one query: those of rank k must have rank k
+    want = np.repeat(np.arange(len(found)), [f.size for f in found])
+    require(np.array_equal(M.ranks(np.concatenate(found)), want),
+            "a cover of a flat of rank k is not of rank k + 1; the input is not a matroid")
+    return tuple(M.n - size for size in reversed(sizes[:-1]))
+
+
+def dual_hamming_weights(M: Matroid, cap: int | None = None) -> tuple[int, ...]:
+    """hamming_weights(M.dual()): d(M*)_l = n - (the largest size of a set of
+    rank r - l), read off the ranks of all 2^n subsets, which cap bounds."""
+    n, r = M.n, M.full_rank
+    if cap is not None and 1 << n > cap:
+        raise CapExceeded(f"the largest flats need all 2^{n} subsets, more than {cap}")
+    largest = np.zeros(r + 1, dtype=np.int64)
+    step = 1 << 16
+    for start in range(0, 1 << n, step):
+        sets = np.arange(start, min(start + step, 1 << n), dtype=np.uint64)
+        ranks = M.ranks(sets)
+        require(int(ranks.max()) <= r, f"a set has rank above r(E) = {r}; not a matroid")
+        np.maximum.at(largest, ranks, kernels.popcounts(sets))
+    return tuple(n - int(largest[r - l]) for l in range(1, r + 1))
 
 
 def check_wei_greedy(M: Matroid, cap: int | None = None) -> dict:
     """Bottom-up weights of M against top-down weights of the dual:
     {e_i} and {n+1 - dual e-tilde_j} must partition {1..n}."""
-    dual = _capped_dual(M, cap)
     e, _ = greedy_bottom_up(M)
-    et_dual, _ = greedy_top_down(dual)
-    return _identity_report(M.n, list(e), list(et_dual))
+    return _identity_report(M.n, list(e), list(dual_greedy_top_down(M, cap)))
 
 
 def check_wei_classical(M: Matroid, cap: int | None = None) -> dict:
     """Same partition identity for the generalized Hamming weights."""
-    dual = _capped_dual(M, cap)
     d = hamming_weights(M)
-    d_dual = hamming_weights(dual)
-    return _identity_report(M.n, list(d), list(d_dual))
+    return _identity_report(M.n, list(d), list(dual_hamming_weights(M, cap)))

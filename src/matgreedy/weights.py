@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import require
 from .ladder import is_cycle, ladder
 from .masks import is_subset, popcount, to_labels
 from .matroid import Matroid
@@ -48,7 +49,7 @@ def _frontier(levels, follows) -> tuple[tuple[int, ...], tuple[int, ...]]:
                     achievers.append(mu)
                     back[mu] = sigma
                     break
-        assert best is not None, "every ladder member links to the next level"
+        require(best is not None, "every ladder member links to the next level")
         profile.append(best)
         frontier = achievers
         links.append(back)
@@ -97,9 +98,7 @@ def greedy_cez(M: Matroid) -> tuple[tuple[int, ...], tuple[tuple[int | None, int
                     break
             if witness is not None:
                 break
-        assert witness is not None, (
-            "some ladder member must contain a minimum-cardinality one"
-        )
+        require(witness is not None, "no member contains a minimum-cardinality one below")
         g.append(popcount(witness[1]))
         pairs.append(witness)
     return tuple(g), tuple(pairs)
@@ -116,10 +115,10 @@ def is_chained(M: Matroid) -> tuple[bool, tuple[int, ...] | None]:
     e, chain = greedy_bottom_up(M)
     et, _ = greedy_top_down(M)
     chained = e == d
-    assert chained == (et == d), "bottom-up and top-down chainedness disagree"
+    require(chained == (et == d), "bottom-up and top-down chainedness disagree")
     if chained:
         g, _ = greedy_cez(M)
-        assert g == d, "chained matroid must have CEZ weights equal to d"
+        require(g == d, "chained matroid must have CEZ weights equal to d")
         return True, chain
     return False, None
 
@@ -141,28 +140,25 @@ class WeightReport:
     chained: bool
 
     def validate(self) -> None:
+        """Raise InvariantError unless the relations of every matroid hold."""
         for name, vec in (("d", self.d), ("e", self.e), ("e_tilde", self.e_tilde)):
-            assert all(a < b for a, b in zip(vec, vec[1:])), (
-                f"{name} must be strictly increasing, got {vec}"
-            )
-        assert len(self.d) == self.t
+            require(all(a < b for a, b in zip(vec, vec[1:])), f"{name} must increase: {vec}")
+        require(len(self.d) == self.t, f"d has {len(self.d)} entries, want t = {self.t}")
         if self.t >= 1:
-            assert self.e[0] == self.g[0] == self.d[0]
-            assert self.e_tilde[-1] == self.d[-1]
+            require(self.e[0] == self.g[0] == self.d[0], "e_1, g_1 and d_1 must agree")
+            require(self.e_tilde[-1] == self.d[-1], "e-tilde_t and d_t must agree")
         if self.t >= 2:
-            assert self.g[1] == self.e[1]
+            require(self.g[1] == self.e[1], "g_2 and e_2 must agree")
         for i in range(self.t):
-            assert self.d[i] <= self.e[i]
-            assert self.d[i] <= self.e_tilde[i]
-            assert self.d[i] <= self.g[i]
+            require(self.d[i] <= min(self.e[i], self.e_tilde[i], self.g[i]), "d must be least")
         for chain in (self.witness_e, self.witness_e_tilde):
             for a, b in zip(chain, chain[1:]):
-                assert is_subset(a, b) and a != b, "witness chain must increase"
-        assert tuple(popcount(m) for m in self.witness_e) == self.e
-        assert tuple(popcount(m) for m in self.witness_e_tilde) == self.e_tilde
-        assert tuple(popcount(m) for m in self.witness_d) == self.d
-        assert tuple(popcount(p[1]) for p in self.witness_g) == self.g
-        assert self.chained == (self.e == self.d)
+                require(is_subset(a, b) and a != b, "witness chain must increase")
+        witnesses = (self.witness_e, self.witness_e_tilde, self.witness_d,
+                     [pair[1] for pair in self.witness_g])
+        sizes = [tuple(popcount(m) for m in w) for w in witnesses]
+        require(sizes == [self.e, self.e_tilde, self.d, self.g], "witness sizes must match")
+        require(self.chained == (self.e == self.d), "chained must mean e == d")
 
     def to_json_dict(self) -> dict:
         def labels(mask: int) -> list[int]:
@@ -211,5 +207,5 @@ def weight_report(M: Matroid) -> WeightReport:
     )
     report.validate()
     for level_idx, mask in enumerate(chain_e, start=1):
-        assert is_cycle(M, mask) == (True, level_idx)
+        require(is_cycle(M, mask) == (True, level_idx), f"{to_labels(mask)} is no cycle")
     return report

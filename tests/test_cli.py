@@ -133,8 +133,25 @@ def test_report_m23_reproduces_numbers():
     assert doc["weights"]["g"] == [8, 12, 11, 19, 23]
     assert doc["weights"]["e"] == [8, 12, 21, 22, 23]
     assert doc["weights"]["e_tilde"] == [9, 10, 11, 19, 23]
-    # the dual ladder is far beyond desk scale, so the wei section is skipped
-    assert "skipped" in doc["wei"]
+    # the flats walk gives the dual's e-tilde = (4..11, 13, 14, 15, 17..23);
+    # the classical side would rank all 2^23 subsets, over the report cap
+    greedy = doc["wei"]["greedy"]
+    assert greedy["identity_holds"] is True
+    assert greedy["left"] == [8, 12, 21, 22, 23]
+    dual_e_tilde = sorted(24 - x for x in greedy["right_transformed"])
+    assert dual_e_tilde == [*range(4, 12), 13, 14, 15, *range(17, 24)]
+    assert doc["wei"]["classical"] == {
+        "skipped": "the largest flats need all 2^23 subsets, more than 300000"
+    }
+
+
+def test_wei_m23_exits_0():
+    start = time.perf_counter()
+    status, doc = run_cmd("wei", M23)
+    assert status == 0
+    assert doc["greedy"]["identity_holds"] is True
+    assert "2^23" in doc["classical"]["skipped"]
+    assert time.perf_counter() - start < 3.0
 
 
 def test_report_includes_strands_with_chain():
@@ -340,11 +357,30 @@ def test_ladder_invariant_fires_under_optimize(tmp_path):
 
     path = tmp_path / "planted.json"
     path.write_text(PLANTED)
-    cmd = [sys.executable, "-O", "-m", "matgreedy", "wei", str(path)]
-    done = subprocess.run(cmd, capture_output=True, text=True)
-    assert done.returncode == 2
-    assert done.stderr.startswith("internal invariant failure:")
-    assert "Traceback" not in done.stderr
+    for command in ("wei", "report"):
+        cmd = [sys.executable, "-O", "-m", "matgreedy", command, str(path)]
+        done = subprocess.run(cmd, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr.startswith("internal invariant failure:")
+        assert "Traceback" not in done.stderr
+
+
+def test_wei_refuses_non_matroid_circuit_lists(tmp_path):
+    # the flats walk checks the rank of every cover it closes, which refuses
+    # 80 of the 81 lists that fail validate here (building the dual's ladder
+    # refused 59); every matroid still passes
+    path = tmp_path / "circuits.json"
+    accepted = {True: 0, False: 0}
+    total = {True: 0, False: 0}
+    for desc in random_circuit_lists(11, 200):
+        path.write_text(json.dumps({"type": "circuits", **desc}))
+        is_matroid = run(RunConfig("validate", str(path)))[0] == 0
+        status, out = run(RunConfig("wei", str(path)))
+        assert status in (0, 2), (desc, out)
+        total[is_matroid] += 1
+        accepted[is_matroid] += status == 0
+    assert total == {True: 119, False: 81}
+    assert accepted[True] == 119 and accepted[False] <= 1
 
 
 def test_chain_parse_errors():

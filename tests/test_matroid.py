@@ -294,7 +294,7 @@ def test_rank_rejects_out_of_range_subset(ternary84):
         ternary84.rank(1 << 8)
 
 
-@pytest.mark.parametrize("mask", [-1, 1 << 8, 1 << 70, 1.5])
+@pytest.mark.parametrize("mask", [-1, 1 << 8, 1 << 70, 1.5, True])
 @pytest.mark.parametrize("query", ["rank", "ranks"])
 def test_rank_queries_reject_bad_masks(ternary84, query, mask):
     ask = ternary84.rank if query == "rank" else lambda m: ternary84.ranks([0, m])
@@ -307,3 +307,19 @@ def test_random_matroids_satisfy_axioms():
     for _ in range(30):
         M = random_matroid(rng, int(rng.integers(2, 11)))
         assert validate_axioms(M).ok
+
+
+def test_closures_both_routes_match_definition():
+    # the rank route (linear, uniform, dual) and the circuit route agree with
+    # cl(X) = X + {e : r(X + e) = r(X)} on every subset
+    rng = np.random.default_rng(404)
+    for _ in range(30):
+        M = random_matroid(rng, int(rng.integers(1, 9)))
+        every = np.arange(1 << M.n, dtype=np.uint64)
+        want = [
+            x | sum(1 << b for b in range(M.n) if M.rank(x | 1 << b) == M.rank(x))
+            for x in range(1 << M.n)
+        ]
+        twin = from_circuits(M.n, list(circuits(M)))
+        assert M.closures(every).tolist() == want
+        assert twin.closures(every).tolist() == want

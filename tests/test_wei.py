@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
-from matgreedy.errors import InputError
-from matgreedy.ladder import ladder
+from matgreedy import cli
+from matgreedy.errors import CapExceeded, InputError, InvariantError
+from matgreedy.ladder import circuits, ladder
 from matgreedy.masks import from_labels, full_mask, is_subset, popcount
-from matgreedy.matroid import from_parity_check, uniform
+from matgreedy.matroid import from_circuits, from_parity_check, uniform
 from matgreedy.gfp import FieldMatrix
 from matgreedy.wei import (
     ChainProfile,
     check_wei_classical,
     check_wei_greedy,
     delta_chain,
+    dual_greedy_top_down,
+    dual_hamming_weights,
 )
 from matgreedy.weights import greedy_bottom_up, greedy_top_down, hamming_weights
-from tests.conftest import random_matroid
+from tests.conftest import FIXTURES, random_field_matrix, random_matroid
 
 
 def test_chain_profile_formula():
@@ -180,3 +185,108 @@ def test_wei_random_matroids():
         M = random_matroid(rng, int(rng.integers(2, 13)))
         assert check_wei_greedy(M)["identity_holds"]
         assert check_wei_classical(M)["identity_holds"]
+
+
+def _dual_side_oracle(M):
+    """Both dual sides read off the dual's own ladder."""
+    dual = M.dual()
+    return greedy_top_down(dual)[0], hamming_weights(dual)
+
+
+def test_flats_walk_and_rank_scan_equal_dual_ladder():
+    # linear matroids over GF(2/3/5) take the rank route of closures, their
+    # circuit-list twins the circuit route
+    rng = np.random.default_rng(2718)
+    for it in range(60):
+        p = (2, 3, 5)[it % 3]
+        n = int(rng.integers(4, 12))
+        M = from_parity_check(random_field_matrix(rng, p, int(rng.integers(1, n + 1)), n))
+        for X in (M, from_circuits(n, list(circuits(M))), M.dual()):
+            assert (dual_greedy_top_down(X), dual_hamming_weights(X)) == _dual_side_oracle(X)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        uniform(0, 5),
+        uniform(5, 5),
+        uniform(0, 0),
+        from_circuits(5, [0b00001, 0b00010]),  # two loops
+        from_circuits(5, [0b00111]),  # coloops 4 and 5
+        from_circuits(6, [0b000001, 0b011110]),  # a loop and a coloop
+    ],
+    ids=["U0,5", "U5,5", "U0,0", "loops", "coloops", "loop-and-coloop"],
+)
+def test_flats_walk_edge_matroids(M):
+    assert (dual_greedy_top_down(M), dual_hamming_weights(M)) == _dual_side_oracle(M)
+    assert check_wei_greedy(M)["identity_holds"]
+    assert check_wei_classical(M)["identity_holds"]
+
+
+def _loaded(monkeypatch):
+    """Record the matroid every cli.run loads."""
+    seen = []
+    real = cli._load_input
+
+    def load(path):
+        M, code = real(path)
+        seen.append(M)
+        return M, code
+
+    monkeypatch.setattr(cli, "_load_input", load)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name", ["ternary84.json", "ternary84_code.txt", "uniform_2_4.json", "m23.json"]
+)
+def test_wei_commands_build_no_dual_ladder(monkeypatch, name):
+    # every ladder goes through circuits(); only the loaded matroid may reach it
+    ladder_mod = sys.modules["matgreedy.ladder"]
+    built = []
+    real = ladder_mod.circuits
+    monkeypatch.setattr(ladder_mod, "circuits", lambda M, cap: built.append(M) or real(M, cap))
+    loaded = _loaded(monkeypatch)
+    for command in ("wei", "report"):
+        status, _ = cli.run(cli.RunConfig(command, str(FIXTURES / name)))
+        assert status == 0
+    assert loaded and all(M is loaded[0] or M is loaded[1] for M in built)
+    for M in loaded:
+        assert M._ladder is not None and M.dual()._ladder is None
+
+
+def test_flats_walk_cap_trips_before_the_batch(m23, monkeypatch):
+    batches = []
+    real = m23.closures
+
+    def counting(masks):
+        batches.append(len(masks))
+        return real(masks)
+
+    monkeypatch.setattr(m23, "closures", counting)
+    dual_greedy_top_down(m23)
+    # batches[0] closes the empty set; batches[k] holds the sets of rank k
+    cap = max(batches) - 1
+    rank = next(k for k, size in enumerate(batches) if size > cap)
+    batches.clear()
+    with pytest.raises(CapExceeded) as exc:
+        dual_greedy_top_down(m23, cap=cap)
+    assert len(batches) == rank and max(batches) <= cap
+    assert f"rank {rank} " in str(exc.value)
+    assert f"needs {cap + 1} closures" in str(exc.value)
+
+
+def test_rank_scan_cap_counts_subsets(ternary84):
+    with pytest.raises(CapExceeded, match="2\\^8"):
+        dual_hamming_weights(ternary84, cap=255)
+    assert dual_hamming_weights(ternary84, cap=256) == (2, 4, 6, 8)
+
+
+def test_dual_sides_refuse_non_matroid_circuits():
+    # both lists break circuit elimination.  For {1,3},{2,3} the greedy rank
+    # makes cl({3}) = E a cover of rank 2 above the empty flat; for
+    # {1,2},{1,3} it gives r(E) = 1 but r({2,3}) = 2
+    with pytest.raises(InvariantError, match="is not of rank k \\+ 1"):
+        dual_greedy_top_down(from_circuits(3, [[1, 3], [2, 3]]))
+    with pytest.raises(InvariantError, match="rank above r\\(E\\) = 1"):
+        dual_hamming_weights(from_circuits(3, [[1, 2], [1, 3]]))

@@ -222,3 +222,26 @@ def test_report_json_shape(ternary84):
     assert set(doc) == {"n", "t", "d", "e", "e_tilde", "g", "chained", "witnesses"}
     assert doc["witnesses"]["g"][0][0] is None
     assert doc["d"] == [2, 4, 6, 8]
+
+
+def test_report_invariants_fire_under_optimize():
+    # validate raises InvariantError, not an assert, so python -O keeps it
+    import subprocess
+    import sys
+
+    script = (
+        "from matgreedy.errors import InvariantError\n"
+        "from matgreedy.weights import WeightReport\n"
+        "report = WeightReport(n=4, t=2, d=(2, 4), e=(3, 4), e_tilde=(2, 4), "
+        "g=(2, 4), witness_d=(3, 15), witness_e=(7, 15), witness_e_tilde=(3, 15), "
+        "witness_g=((None, 3), (3, 15)), chained=False)\n"
+        "try:\n"
+        "    report.validate()\n"
+        "except InvariantError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("refused: e_1, g_1 and d_1 must agree")
