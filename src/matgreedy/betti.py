@@ -122,23 +122,6 @@ def _mobius(levels) -> list[np.ndarray]:
     return out
 
 
-def betti_value(M: Matroid, i: int, X: int) -> int:
-    """Exact multigraded Betti number at homological index i and set X.
-
-    1 at (0, empty set), |mu(0, X)| when X is a level-i ladder member, and 0
-    everywhere else; the Moebius recursion runs on the members inside X only.
-    """
-    lad = ladder(M)
-    if i == 0:
-        return int(X == 0)
-    if not lad.contains(i, X):
-        return 0
-    below = [
-        [Y for Y in lad.level(l) if is_subset(Y, X)] for l in range(1, i)
-    ]
-    return abs(int(_mobius(below + [[X]])[-1][0]))
-
-
 def betti_values(M: Matroid) -> BettiDiagram:
     """Support plus exact values on every support pair.
 
@@ -174,115 +157,22 @@ def strand_nonzero(M: Matroid, l: int, rho: int, mu: int) -> bool:
     return lad.contains(l - 1, rho) and rho != mu and is_subset(rho, mu)
 
 
-def graded_strand_nonzero(M: Matroid, l: int, p: int, q: int) -> bool:
-    """Whether the total-degree (p, q) block of the step-l differential is
-    nonzero, i.e. some multigraded component with those cardinalities is."""
-    if l < 1:
-        return False
-    lad = ladder(M)
-    if l > lad.t:
-        return False
-    if l == 1:
-        return p == 0 and any(popcount(mu) == q for mu in lad.level(1))
-    taus = [t_ for t_ in lad.level(l - 1) if popcount(t_) == p]
-    for mu in lad.level(l):
-        if popcount(mu) == q:
-            for tau in taus:
-                if is_subset(tau, mu) and tau != mu:
-                    return True
-    return False
+def strand_check(M: Matroid, chain) -> bool:
+    """Whether every component map along the strand of a chain of subsets,
+    one per homological index 1..t, is nonzero.
 
-
-@dataclass(frozen=True)
-class StrandSpec:
-    """A strand selector: either a chain of subsets (multigraded) or a vector
-    of total degrees (one per homological index 1..t).
-
-    Sequences that fail to increase are representable on purpose: their
-    strands simply contain a zero map, so strand_check returns False rather
-    than rejecting them.
+    Chains that fail to increase are accepted on purpose: their strands
+    simply contain a zero map, so the answer is False rather than an error.
     """
-
-    sets: tuple[int, ...] | None = None
-    degrees: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if (self.sets is None) == (self.degrees is None):
-            raise InputError("give exactly one of sets or degrees")
-        seq = self.sets if self.sets is not None else self.degrees
-        if not seq:
-            raise InputError("empty strand spec")
-
-
-def strand_check(M: Matroid, spec: StrandSpec) -> bool:
-    """Whether every component map along the strand is nonzero."""
     lad = ladder(M)
-    seq = spec.sets if spec.sets is not None else spec.degrees
-    if len(seq) != lad.t:
-        raise InputError(f"strand length {len(seq)} differs from corank {lad.t}")
-    if spec.sets is not None:
-        prev = 0
-        for l, mask in enumerate(spec.sets, start=1):
-            if not strand_nonzero(M, l, prev, mask):
-                return False
-            prev = mask
-        return True
-    prev_deg = 0
-    for l, deg in enumerate(spec.degrees, start=1):
-        if not graded_strand_nonzero(M, l, prev_deg, deg):
+    if len(chain) != lad.t:
+        raise InputError(f"strand length {len(chain)} differs from corank {lad.t}")
+    prev = 0
+    for l, mask in enumerate(chain, start=1):
+        if not strand_nonzero(M, l, prev, mask):
             return False
-        prev_deg = deg
+        prev = mask
     return True
-
-
-def greedy_from_strands(
-    M: Matroid,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Recompute (bottom-up, top-down, CEZ) greedy vectors using only the
-    Betti support and the strand predicate, no direct ladder-chain search."""
-    diagram = betti_support(M)
-    t = diagram.t
-    if t == 0:
-        return (), (), ()
-    levels = diagram.levels
-
-    def level_min(i: int) -> int:
-        return popcount(levels[i][0])
-
-    e = [level_min(1)]
-    frontier = [s for s in levels[1] if popcount(s) == e[0]]
-    for l in range(2, t + 1):
-        hits = [
-            s
-            for s in levels[l]
-            if any(strand_nonzero(M, l, tau, s) for tau in frontier)
-        ]
-        best = min(popcount(s) for s in hits)
-        e.append(best)
-        frontier = [s for s in hits if popcount(s) == best]
-
-    et = [level_min(t)]
-    frontier = [s for s in levels[t] if popcount(s) == et[0]]
-    for l in range(t - 1, 0, -1):
-        hits = [
-            s
-            for s in levels[l]
-            if any(strand_nonzero(M, l + 1, s, tau) for tau in frontier)
-        ]
-        best = min(popcount(s) for s in hits)
-        et.append(best)
-        frontier = [s for s in hits if popcount(s) == best]
-    et.reverse()
-
-    d = diagram.min_degrees()
-    g = [d[0]]
-    for l in range(2, t + 1):
-        candidates = sorted({popcount(s) for s in levels[l]})
-        best = next(
-            q for q in candidates if graded_strand_nonzero(M, l, d[l - 2], q)
-        )
-        g.append(best)
-    return tuple(e), tuple(et), tuple(g)
 
 
 @dataclass(frozen=True)

@@ -51,13 +51,13 @@ class RunConfig:
 def _load_input(path: str) -> tuple[Matroid, codes_mod.LinearCode | None]:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return from_descriptor(stripped), None
     code = codes_mod.parse_code_file(text)
-    return codes_mod.code_matroid(code), code
+    return code.matroid(), code
 
 
 def _render_table(doc: dict) -> str:
@@ -119,11 +119,9 @@ def _cmd_strands(M: Matroid, config: RunConfig, code=None) -> dict:
     if not config.chain:
         raise InputError("strands requires --chain \"1,2|1,2,3|...\"")
     chain = masks.parse_chain(config.chain, M.n)
-    spec = betti_mod.StrandSpec(sets=chain)
-    verdict = betti_mod.strand_check(M, spec)
     return {
         "chain": [list(masks.to_labels(m)) for m in chain],
-        "nonzero": verdict,
+        "nonzero": betti_mod.strand_check(M, chain),
     }
 
 

@@ -1,5 +1,5 @@
-"""Linear codes over prime fields: supports, shortened subcodes, the matroid
-bridge, and brute-force oracles for the code-side weight definitions.
+"""Linear codes over prime fields: the matroid bridge and the brute-force
+oracle for the code-side weight definitions.
 
 Codes are stored by a full-row-rank generator matrix in reduced echelon
 form.  Subcodes are enumerated through canonical echelon bases of message
@@ -14,9 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceeded, InputError
-from .gfp import FieldMatrix, format_matrix, parse_matrix
+from .gfp import FieldMatrix, parse_matrix
 from .kernels import CHUNK_ENTRIES, popcounts
-from .masks import full_mask, popcount
 from .matroid import Matroid, from_generator
 from .weights import WeightReport, weight_report
 
@@ -55,51 +54,10 @@ class LinearCode:
     def __repr__(self) -> str:
         return f"LinearCode(p={self.p}, n={self.n}, k={self.k})"
 
-    def encode(self, message) -> np.ndarray:
-        return self.generator.vecmul(message)
-
     def matroid(self) -> Matroid:
         if self._matroid is None:
             self._matroid = from_generator(self.generator)
         return self._matroid
-
-
-def support(vectors) -> int:
-    """Union of nonzero coordinate positions of the given words, as a mask."""
-    mask = 0
-    length = None
-    for vec in vectors:
-        arr = np.asarray(vec)
-        if length is None:
-            length = arr.shape[0]
-        elif arr.shape[0] != length:
-            raise InputError("words of different lengths")
-        for i in np.nonzero(arr)[0]:
-            mask |= 1 << int(i)
-    return mask
-
-
-def weight(vectors) -> int:
-    return popcount(support(vectors))
-
-
-def shortened_subcode(C: LinearCode, X: int) -> FieldMatrix:
-    """Canonical basis of the subcode supported inside X.
-
-    Messages vanish on the coordinates outside X exactly when they lie in
-    the kernel of the message-to-outside-coordinates map; those messages are
-    re-encoded to codewords.
-    """
-    outside = full_mask(C.n) & ~X
-    g_out = C.generator.column_submatrix(outside)
-    msgs = g_out.transpose().kernel_basis()  # rows: messages m with m @ g_out = 0
-    words = (msgs.data @ C.generator.data) % C.p
-    rref, _ = FieldMatrix(C.generator.field, words).rref()
-    return rref
-
-
-def code_matroid(C: LinearCode) -> Matroid:
-    return C.matroid()
 
 
 # -- subcode enumeration ----------------------------------------------------
@@ -227,23 +185,9 @@ def subcode_weights(
     return d, tuple(e), tuple(reversed(et)), tuple(g)
 
 
-def ghw_bruteforce(C: LinearCode, r: int, cap: int = DEFAULT_SUBSPACE_CAP) -> int:
-    """Exhaustive minimum support weight over all r-dimensional subcodes."""
-    if not 1 <= r <= C.k:
-        raise InputError(f"subcode dimension {r} outside 1..{C.k}")
-    return subcode_weights(C, cap)[0][r - 1]
-
-
-def greedy_bruteforce(
-    C: LinearCode, cap: int = DEFAULT_SUBSPACE_CAP
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Exhaustive (e, e_tilde, g): the greedy part of subcode_weights."""
-    return subcode_weights(C, cap)[1:]
-
-
 def code_weights(C: LinearCode) -> WeightReport:
     """Production path: the full weight report through the code's matroid."""
-    return weight_report(code_matroid(C))
+    return weight_report(C.matroid())
 
 
 # -- code file format --------------------------------------------------------
@@ -264,9 +208,3 @@ def parse_code_file(text: str) -> LinearCode:
     if role == "generator":
         return LinearCode(mat)
     return LinearCode.from_parity_check(mat)
-
-
-def format_code_file(C: LinearCode, role: str = "generator") -> str:
-    if role != "generator":
-        raise InputError("only generator output is supported")
-    return "generator\n" + format_matrix(C.generator)

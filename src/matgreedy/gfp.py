@@ -13,7 +13,6 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .masks import to_labels
 
 MAX_MODULUS = 1 << 16
 
@@ -98,9 +97,6 @@ class FieldMatrix:
     def __repr__(self) -> str:
         return f"FieldMatrix(p={self.p}, shape={self.nrows}x{self.ncols})"
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i].copy()
-
     def transpose(self) -> FieldMatrix:
         return FieldMatrix(self.field, self.data.T.copy())
 
@@ -132,20 +128,6 @@ class FieldMatrix:
         kernels.rref_mod_p(vecs, self.p)
         return FieldMatrix(self.field, vecs)
 
-    def column_submatrix(self, mask: int) -> FieldMatrix:
-        """Columns selected by a subset mask over labels 1..ncols, ascending."""
-        labels = to_labels(mask)
-        if labels and labels[-1] > self.ncols:
-            raise InputError(
-                f"column label {labels[-1]} out of range 1..{self.ncols}"
-            )
-        idx = [lab - 1 for lab in labels]
-        return FieldMatrix(self.field, self.data[:, idx].copy())
-
-    def vecmul(self, vec: np.ndarray) -> np.ndarray:
-        """Row vector times matrix: vec @ self, reduced mod p."""
-        return (np.asarray(vec, dtype=np.int64) @ self.data) % self.p
-
 
 def parse_matrix(text: str) -> FieldMatrix:
     """Parse the matrix text format: "p rows cols" header then row lines."""
@@ -171,9 +153,14 @@ def parse_matrix(text: str) -> FieldMatrix:
             raise InputError(f"row {ln!r} has {len(row)} entries, want {cols}")
         entries.append(row)
     field = PrimeField(p)
-    data = np.array(entries, dtype=np.int64).reshape(rows, cols)
-    if np.any(data < 0) or np.any(data >= p):
+    # checked as Python ints: the int64 cast would overflow on a huge entry
+    if not all(0 <= x < p for row in entries for x in row):
         raise InputError("matrix entries must be residues in [0, p)")
+    try:
+        # with no rows, nothing has checked cols yet
+        data = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    except ValueError as exc:
+        raise InputError(f"bad matrix size {rows} x {cols}") from exc
     return FieldMatrix(field, data)
 
 

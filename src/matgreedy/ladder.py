@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapExceeded, InputError, InvariantError
-from .masks import from_labels, is_subset, popcount, singletons, to_labels
+from .masks import from_labels, popcount, singletons, to_labels
 from .matroid import Matroid, UniformMatroid
 
 DEFAULT_SUBSET_CAP = 5_000_000
@@ -74,18 +74,19 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
     """All circuits, sorted by (cardinality, mask).
 
     Circuit-defined matroids return their stored list and uniform matroids
-    the analytic one; otherwise minimal dependent sets are enumerated by
-    increasing cardinality, skipping supersets of circuits already found.
+    the analytic one, whose size the cap bounds; otherwise minimal dependent
+    sets are enumerated by increasing cardinality, skipping supersets of
+    circuits already found.
     """
     if M._circuits is not None:
         return M._circuits
     if isinstance(M, UniformMatroid):
-        if M.r >= M.n:
-            found: tuple[int, ...] = ()
-        else:
-            found = tuple(
-                from_labels(c) for c in combinations(range(1, M.n + 1), M.r + 1)
+        # the circuits are the (r+1)-subsets, counted before any is built
+        if (count := comb(M.n, M.r + 1)) > cap:
+            raise CapExceeded(
+                f"U({M.r},{M.n}) has {count} circuits, more than the cap {cap}"
             )
+        found = (from_labels(c) for c in combinations(range(1, M.n + 1), M.r + 1))
         M._circuits = tuple(sorted(found, key=_sort_key))
         return M._circuits
     found = np.zeros(0, dtype=np.uint64)
@@ -159,14 +160,3 @@ def is_cycle(M: Matroid, mask: int) -> tuple[bool, int]:
     nl = popcount(mask) - int(r[0])
     # deleting e leaves the rank unchanged iff e is not a coloop of M|X
     return nl > 0 and bool(np.all(r[1:] == r[0])), nl
-
-
-def covers(M: Matroid, rho: int) -> tuple[int, ...]:
-    """Members of the next ladder level strictly containing rho."""
-    lad = ladder(M)
-    nl = M.nullity(rho)
-    if nl < 1 or not lad.contains(nl, rho):
-        raise InputError(f"{to_labels(rho)} is not a ladder member")
-    if nl >= lad.t:
-        raise InputError("top-level ladder members have no covers")
-    return tuple(mu for mu in lad.level(nl + 1) if is_subset(rho, mu) and mu != rho)

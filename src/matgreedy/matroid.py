@@ -60,11 +60,16 @@ class Matroid:
         Every mask must be an integer in [0, 2^n); anything else is refused
         before the cast to uint64, which would wrap or truncate it.
         """
-        # np.asarray would turn a True among integers into 1
-        has_bool = not isinstance(masks, np.ndarray) and any(
-            isinstance(m, (bool, np.bool_)) for m in masks)
-        masks = np.asarray(masks)
-        if has_bool or masks.size and (
+        if not isinstance(masks, np.ndarray):
+            # checked as Python ints: np.asarray would turn a True into 1 and
+            # a mask of 2^63 or more beside a smaller one into a float
+            masks = list(masks)
+            limit = 1 << self.n
+            if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+                       and 0 <= m < limit for m in masks):
+                raise InputError(f"subset masks must be integers in [0, 2^{self.n})")
+            masks = np.array(masks, dtype=np.uint64)
+        elif masks.size and (
             masks.dtype.kind not in "iu" or masks.min() < 0 or int(masks.max()) >> self.n
         ):
             raise InputError(f"subset masks must be integers in [0, 2^{self.n})")
@@ -167,9 +172,11 @@ class LinearMatroid(Matroid):
 class CircuitMatroid(Matroid):
     """Matroid given by its circuit list; rank by greedy basis growth.
 
-    The list is trusted to be the circuit set of an actual matroid; only the
-    antichain condition is checked (full circuit-axiom verification is
-    exponential).  validate_axioms gives an opt-in deeper check.
+    The antichain condition is checked here.  The circuit axioms are not
+    (their full check is exponential), but a list that breaks them is still
+    refused once its ladder is built, when the top level is not the single
+    set E minus the coloops (InvariantError, exit 2).  validate_axioms gives
+    an opt-in deeper check.
     """
 
     kind = "circuits"
@@ -373,12 +380,21 @@ def _integer_rows(value, what: str) -> list:
 
 
 def from_descriptor(obj) -> Matroid:
-    """Build a matroid from the JSON descriptor format."""
-    if isinstance(obj, str):
-        try:
+    """Build a matroid from the JSON descriptor format, as text or parsed.
+
+    Nesting deeper than the interpreter's recursion limit is an input error.
+    """
+    try:
+        if isinstance(obj, str):
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad matroid JSON: {exc}") from exc
+        return _from_parsed(obj)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad matroid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("matroid descriptor nests too deeply") from exc
+
+
+def _from_parsed(obj) -> Matroid:
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("matroid descriptor must be an object with a 'type'")
     kind = obj["type"]
@@ -398,7 +414,7 @@ def from_descriptor(obj) -> Matroid:
                 return from_generator(mat)
             raise InputError(f"unknown linear role {role!r}")
         if kind == "dual":
-            return from_descriptor(obj["of"]).dual()
+            return _from_parsed(obj["of"]).dual()
     except KeyError as exc:
         raise InputError(f"matroid descriptor missing field {exc}") from exc
     raise InputError(f"unknown matroid type {kind!r}")

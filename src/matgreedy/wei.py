@@ -1,10 +1,11 @@
-"""Complement-chain construction and the Wei duality identities.
+"""The Wei duality identities.
 
 A maximal ladder chain of M with cardinality profile (c_1..c_t) determines,
 through complements, a chain for the dual matroid whose cardinalities are
-{1..n} minus {n+1-c_i}.  The duality checks assert the resulting
-disjoint-union identities for the greedy and classical weight families; they
-double as end-to-end oracles for the whole weights pipeline.
+{1..n} minus {n+1-c_i} (tests/paper_oracle.py builds that chain).  The
+duality checks assert the resulting disjoint-union identities for the greedy
+and classical weight families; they double as end-to-end oracles for the
+whole weights pipeline.
 
 Neither check builds the dual's ladder: its level l is {E - F : F a flat of
 M of rank r - l} (Oxley, Matroid Theory, 2nd ed.), so its e-tilde comes from
@@ -13,78 +14,14 @@ a walk up the flats of M and its d from the largest set of each rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
-from .errors import CapExceeded, InputError, require
-from .ladder import ladder, unions
-from .masks import full_mask, is_subset, popcount, singletons, to_labels
+from .errors import CapExceeded, require
+from .ladder import unions
+from .masks import popcount
 from .matroid import Matroid
 from .weights import greedy_bottom_up, hamming_weights
-
-
-@dataclass(frozen=True)
-class ChainProfile:
-    """Cardinality profile of a chain together with its complementary profile.
-
-    complement_profile is completion-independent: {1..n} minus the reflected
-    cardinalities {n+1-c}.
-    """
-
-    n: int
-    cardinalities: tuple[int, ...]
-    complement_profile: frozenset[int]
-
-    def __post_init__(self):
-        expected = frozenset(range(1, self.n + 1)) - {
-            self.n + 1 - c for c in self.cardinalities
-        }
-        if self.complement_profile != expected:
-            raise InputError("complement profile inconsistent with cardinalities")
-        if len(self.cardinalities) + len(self.complement_profile) != self.n:
-            raise InputError("profile sizes must partition 1..n")
-
-    @classmethod
-    def from_cardinalities(cls, n: int, cards) -> "ChainProfile":
-        cards = tuple(cards)
-        if any(b <= a for a, b in zip(cards, cards[1:])):
-            raise InputError("chain cardinalities must strictly increase")
-        comp = frozenset(range(1, n + 1)) - {n + 1 - c for c in cards}
-        return cls(n=n, cardinalities=cards, complement_profile=comp)
-
-
-def delta_chain(M: Matroid, chain) -> tuple[int, ...]:
-    """Complement chain for the dual matroid.
-
-    The complements of the chain members are completed to a maximal subset
-    chain (missing elements inserted in ascending label order, which picks a
-    canonical representative), and the sets whose cardinality reflects a
-    chain member are removed.  The surviving cardinalities are exactly the
-    complement profile.
-    """
-    chain = tuple(chain)
-    lad = ladder(M)
-    if len(chain) != lad.t:
-        raise InputError(f"chain length {len(chain)} differs from corank {lad.t}")
-    for i, mask in enumerate(chain, start=1):
-        if not lad.contains(i, mask):
-            raise InputError(f"{to_labels(mask)} is not a ladder member at level {i}")
-    for a, b in zip(chain, chain[1:]):
-        if not (is_subset(a, b) and a != b):
-            raise InputError("chain must strictly increase")
-    n = M.n
-    top = full_mask(n)
-    anchors = [top & ~mask for mask in reversed(chain)]  # increasing by inclusion
-    maximal: list[int] = []
-    current = 0
-    for anchor in anchors + [top]:
-        for bit in singletons(anchor & ~current):
-            current |= bit
-            maximal.append(current)
-    removed = {n + 1 - popcount(mask) for mask in chain}
-    return tuple(m for m in maximal if popcount(m) not in removed)
 
 
 def _identity_report(n: int, left, right) -> dict:

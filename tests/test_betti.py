@@ -11,11 +11,8 @@ import pytest
 
 from matgreedy import betti as betti_mod
 from matgreedy.betti import (
-    StrandSpec,
     betti_support,
-    betti_value,
     betti_values,
-    greedy_from_strands,
     resolution_shape,
     strand_check,
     strand_nonzero,
@@ -39,6 +36,7 @@ from tests.homology_oracle import (
     reduced_betti_all,
     reduced_betti_single,
 )
+from tests.paper_oracle import greedy_from_strands
 
 E8 = full_mask(8)
 
@@ -123,9 +121,10 @@ TERNARY84_MULTIGRADED = {
 
 
 def test_ternary84_acceptance_values(ternary84):
-    assert betti_value(ternary84, 2, from_labels([1, 2, 3, 4])) == 2
-    assert betti_value(ternary84, 2, from_labels([5, 6, 7, 8])) == 3
-    assert betti_value(ternary84, 4, E8) == 6
+    values = betti_values(ternary84).values
+    assert values[(2, from_labels([1, 2, 3, 4]))] == 2
+    assert values[(2, from_labels([5, 6, 7, 8]))] == 3
+    assert values[(4, E8)] == 6
 
 
 def test_ternary84_full_multigraded_table(ternary84):
@@ -153,8 +152,9 @@ def _labels(mask: int):
 
 def test_unit_betti_first_level(ternary84):
     # every circuit carries a rank-one generator
+    values = betti_values(ternary84).values
     for c in ladder(ternary84).level(1):
-        assert betti_value(ternary84, 1, c) == 1
+        assert values[(1, c)] == 1
 
 
 def test_support_equals_ladder(ternary84):
@@ -187,16 +187,17 @@ def test_full_support_oracle_small(small_corpus):
 
 
 def test_support_off_levels_is_zero(ternary84):
-    assert betti_value(ternary84, 2, from_labels([1, 2, 3])) == 0
-    assert betti_value(ternary84, 3, E8) == 0
-    assert betti_value(ternary84, 5, E8) == 0
-    assert betti_value(ternary84, 0, from_labels([1])) == 0
+    values = betti_values(ternary84).values
+    assert values.get((2, from_labels([1, 2, 3])), 0) == 0
+    assert values.get((3, E8), 0) == 0
+    assert values.get((5, E8), 0) == 0
+    assert values.get((0, from_labels([1])), 0) == 0
 
 
 def test_betti_value_cap():
     M = uniform(10, 20)
     with pytest.raises(CapExceeded):
-        betti_value(M, 1, full_mask(20))
+        betti_values(M)
 
 
 def test_mobius_values_match_homology_oracle(small_corpus):
@@ -205,10 +206,11 @@ def test_mobius_values_match_homology_oracle(small_corpus):
         if M.n > 6:
             continue
         t = ladder(M).t
+        values = betti_values(M).values
         for X in range(1 << M.n):
             for i in range(t + 2):
                 want = reduced_betti_single(M, X, popcount(X) - i - 1)
-                assert betti_value(M, i, X) == want, (M.n, i, X)
+                assert values.get((i, X), 0) == want, (M.n, i, X)
     # every support pair of seeded random matroids up to n = 8
     rng = np.random.default_rng(5150)
     for _ in range(40):
@@ -216,7 +218,7 @@ def test_mobius_values_match_homology_oracle(small_corpus):
         values = betti_values(M).values
         for (i, X), val in values.items():
             want = reduced_betti_single(M, X, popcount(X) - i - 1)
-            assert val == betti_value(M, i, X) == want, (M.n, i, X)
+            assert val == want, (M.n, i, X)
 
 
 def hilbert_numerator_order(table: dict[tuple[int, int], int]) -> int:
@@ -246,10 +248,6 @@ def test_mobius_int64_guard(monkeypatch, ternary84):
     monkeypatch.setattr(betti_mod, "MOBIUS_SUM_CAP", 8)
     with pytest.raises(CapExceeded, match="level 2"):
         betti_values(ternary84)
-    with pytest.raises(CapExceeded, match="level 2"):
-        betti_value(ternary84, 4, E8)
-    # inside {1,2,3,4} only three circuits lie below: 1 + 3 < 8
-    assert betti_value(ternary84, 2, from_labels([1, 2, 3, 4])) == 2
     path = str(FIXTURES / "ternary84.json")
     status, out = run(RunConfig(command="betti", input_path=path, values=True))
     assert status == 3 and "int64" in out
@@ -273,7 +271,7 @@ def test_strand_check_reference_chain(ternary84):
         from_labels([1, 2, 3, 4, 6, 7, 8]),
         E8,
     )
-    assert strand_check(ternary84, StrandSpec(sets=chain))
+    assert strand_check(ternary84, chain)
 
 
 def test_strand_check_broken_chain(ternary84):
@@ -284,7 +282,7 @@ def test_strand_check_broken_chain(ternary84):
         from_labels([1, 2, 5, 6, 7, 8]),
         E8,
     )
-    assert not strand_check(ternary84, StrandSpec(sets=chain))
+    assert not strand_check(ternary84, chain)
     # a middle set that is not a ladder member also kills the strand
     chain2 = (
         from_labels([1, 3, 4]),
@@ -292,23 +290,33 @@ def test_strand_check_broken_chain(ternary84):
         from_labels([1, 2, 3, 4, 5]),
         E8,
     )
-    assert not strand_check(ternary84, StrandSpec(sets=chain2))
+    assert not strand_check(ternary84, chain2)
 
 
 def test_strand_check_uniform():
     M = uniform(2, 4)
-    assert strand_check(M, StrandSpec(sets=(from_labels([1, 2, 3]), full_mask(4))))
+    assert strand_check(M, (from_labels([1, 2, 3]), full_mask(4)))
 
 
 def test_strand_check_degree_form(ternary84):
-    assert strand_check(ternary84, StrandSpec(degrees=(2, 4, 7, 8)))
-    assert strand_check(ternary84, StrandSpec(degrees=(3, 4, 6, 8)))
-    assert not strand_check(ternary84, StrandSpec(degrees=(2, 4, 5, 8)))
+    # a total-degree strand is nonzero iff some set strand of those
+    # cardinalities is
+    lad = ladder(ternary84)
+
+    def some_strand(degrees) -> bool:
+        chains = [()]
+        for level, q in zip(lad.levels, degrees):
+            chains = [c + (mu,) for c in chains for mu in level if popcount(mu) == q]
+        return any(strand_check(ternary84, c) for c in chains)
+
+    assert some_strand((2, 4, 7, 8))
+    assert some_strand((3, 4, 6, 8))
+    assert not some_strand((2, 4, 5, 8))
 
 
 def test_strand_check_wrong_length(ternary84):
     with pytest.raises(InputError):
-        strand_check(ternary84, StrandSpec(sets=(from_labels([1, 2]),)))
+        strand_check(ternary84, (from_labels([1, 2]),))
 
 
 def test_greedy_from_strands_matches_weights(ternary84, m23, small_corpus):
@@ -363,6 +371,7 @@ def test_values_match_euler_characteristic(ternary84, small_corpus):
     # independent of any boundary-rank computation
     for M in [ternary84] + [N for N in small_corpus if N.n <= 8]:
         lad = ladder(M)
+        values = betti_values(M).values
         for i, level in enumerate(lad.levels, start=1):
             for mask in level:
                 counts = [
@@ -370,7 +379,7 @@ def test_values_match_euler_characteristic(ternary84, small_corpus):
                     for s in range(M.rank(mask) + 1)
                 ]
                 chi_reduced = sum((-1) ** s * c for s, c in enumerate(counts))
-                assert betti_value(M, i, mask) == abs(chi_reduced)
+                assert values[(i, mask)] == abs(chi_reduced)
 
 
 def test_greedy_degrees_sit_in_table_support(small_corpus):

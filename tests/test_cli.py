@@ -7,12 +7,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matgreedy import betti as betti_mod
 from matgreedy.cli import COMMANDS, RunConfig, main, run
-from matgreedy.codes import LinearCode, format_code_file
+from matgreedy.codes import LinearCode
 from matgreedy.errors import InputError
-from matgreedy.gfp import FieldMatrix
+from matgreedy.gfp import FieldMatrix, format_matrix
 from tests.conftest import FIXTURES, random_code
 from tests.test_betti import hilbert_numerator_order
 
@@ -20,6 +22,8 @@ TERNARY84 = str(FIXTURES / "ternary84.json")
 M23 = str(FIXTURES / "m23.json")
 U24 = str(FIXTURES / "uniform_2_4.json")
 CODE8 = str(FIXTURES / "ternary84_code.txt")
+# deeper than the interpreter's recursion limit
+DEEP_DUAL = '{"type": "dual", "of": ' * 5000 + '{"type": "uniform", "r": 1, "n": 3}' + "}" * 5000
 
 
 def run_cmd(command: str, path: str, **kwargs) -> tuple[int, dict]:
@@ -198,7 +202,7 @@ def test_console_script_byte_stable_across_processes():
 
 
 def _write_code(path, code: LinearCode) -> str:
-    path.write_text(format_code_file(code))
+    path.write_text("generator\n" + format_matrix(code.generator))
     return str(path)
 
 
@@ -220,15 +224,29 @@ def test_validate_subspace_cap_trips_first(tmp_path):
     assert status == 0 and "code_oracle" not in doc
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     status, _ = run(RunConfig(command="weights", input_path="/no/such/file"))
     assert status == 1
+    (tmp_path / "latin1.txt").write_bytes(b"generator\n\xff 1 1\n1\n")
+    status, out = run(RunConfig(command="weights", input_path=str(tmp_path / "latin1.txt")))
+    assert status == 1 and out.startswith("input error: cannot read")
     status, _ = run(RunConfig(command="weights", input_path=M23, cap_subsets=10))
     assert status == 3
     with pytest.raises(InputError):
         RunConfig(command="weights", input_path=TERNARY84, cap_subsets=0)
     with pytest.raises(InputError):
         RunConfig(command="bogus", input_path=TERNARY84)
+
+
+def test_uniform_circuits_trip_the_cap_before_enumerating(tmp_path):
+    # U(10,40) has C(40,11) = 2,311,801,440 circuits
+    path = tmp_path / "u40.json"
+    path.write_text('{"type": "uniform", "r": 10, "n": 40}')
+    for command in ("weights", "betti"):
+        start = time.perf_counter()
+        status, out = run(RunConfig(command, str(path), cap_subsets=1000))
+        assert status == 3 and out.startswith("cap exceeded:")
+        assert time.perf_counter() - start < 1.0
 
 
 def test_betti_values_m23():
@@ -274,8 +292,12 @@ def test_table_format():
         '{"type": "linear", "p": 2, "matrix": [[1, 0, 1], [1, 1]]}',
         '{"type": "circuits", "n": 3, "circuits": "12"}',
         "generator\n3 1 3\n1 x 2\n",
+        DEEP_DUAL,
+        "generator\n2 1 1\n99999999999999999999999\n",
+        "generator\n2 0 -1\n",
     ],
-    ids=["n-string", "n-float", "ragged-matrix", "circuits-string", "code-residue"],
+    ids=["n-string", "n-float", "ragged-matrix", "circuits-string", "code-residue",
+         "deep-dual", "code-entry-overflow", "code-negative-cols"],
 )
 def test_malformed_input_is_an_input_error(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
@@ -349,6 +371,59 @@ def test_exit_contract_on_random_circuit_lists(tmp_path):
     for command in ("wei", "report", "weights"):
         status, out = run(RunConfig(command, str(path)))
         assert status == 2 and out.startswith("internal invariant failure:")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["type", "n", "r", "p", "of", "role", "circuits",
+                                       "matrix"]) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _typed(n: int):
+    """Descriptors on n elements; labels and ranks stray one past each end."""
+    label = st.integers(1, max(n, 1)) | st.integers(0, n + 1)
+    rows = st.lists(st.lists(st.integers(-1, 5), min_size=n, max_size=n), max_size=4)
+    return (
+        st.builds(lambda r: {"type": "uniform", "r": r, "n": n}, st.integers(-1, n + 1))
+        | st.builds(lambda c: {"type": "circuits", "n": n, "circuits": c},
+                    st.lists(st.lists(label, min_size=1, max_size=5), max_size=5))
+        | st.builds(lambda p, role, m: {"type": "linear", "p": p, "role": role, "matrix": m},
+                    st.sampled_from([2, 3, 4, 5]), st.sampled_from(["parity_check", "generator"]),
+                    rows)
+    )
+
+
+typed_descriptors = st.recursive(
+    st.integers(0, 10).flatmap(_typed),
+    lambda inner: st.builds(lambda of: {"type": "dual", "of": of}, inner),
+    max_leaves=3,
+)
+# a descriptor is text starting with "{"; any other text is read as a code file
+input_texts = (
+    json_values.map(json.dumps)
+    | typed_descriptors.map(json.dumps)
+    | st.text(max_size=60)
+    | st.builds(lambda role, body: f"{role}\n{body}",
+                st.sampled_from(["generator", "parity_check"]),
+                st.from_regex(r"[0-9 \-]{0,12}(\n[0-9 \-]{0,16}){0,4}", fullmatch=True))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=input_texts, command=st.sampled_from(sorted(COMMANDS)), values=st.booleans())
+@example(text=DEEP_DUAL, command="weights", values=False)
+@example(text="generator\n2 1 1\n99999999999999999999999\n", command="weights", values=False)
+@example(text='{"type": "uniform", "r": 10, "n": 40}', command="betti", values=False)
+@example(text='{"type": "uniform", "r": 63, "n": 64}', command="weights", values=False)
+def test_exit_contract_on_any_input(tmp_path_factory, text, command, values):
+    # every input ends in exit 0, 1, 2 or 3 with no exception escaping main
+    path = tmp_path_factory.getbasetemp() / "exit_contract_input"
+    path.write_text(text)
+    argv = [command, str(path), "--chain", "1|1,2", "--cap-subsets", "100000"]
+    assert main(argv + ["--values"] * values) in (0, 1, 2, 3)
 
 
 def test_ladder_invariant_fires_under_optimize(tmp_path):

@@ -8,26 +8,20 @@ import pytest
 from matgreedy import codes as codes_mod
 from matgreedy.codes import (
     LinearCode,
-    code_matroid,
     code_weights,
     echelon_subspaces,
-    format_code_file,
-    ghw_bruteforce,
-    greedy_bruteforce,
     parse_code_file,
-    shortened_subcode,
     subcode_weights,
     subspace_count,
-    support,
-    weight,
 )
 from matgreedy.errors import CapExceeded, InputError
-from matgreedy.gfp import FieldMatrix
+from matgreedy.gfp import FieldMatrix, format_matrix
 from matgreedy.ladder import is_cycle, ladder
-from matgreedy.masks import from_labels
+from matgreedy.masks import from_labels, popcount
 from matgreedy.matroid import validate_axioms
 from matgreedy.weights import is_chained
 from tests.conftest import random_code
+from tests.paper_oracle import shortened_subcode, support
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -45,16 +39,16 @@ MDS42 = LinearCode(FieldMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]]))
 def test_support_examples(ternary84_code):
     assert support([np.zeros(8, dtype=int)]) == 0
     msg = np.array([1, 2, 0, 0])
-    word = ternary84_code.encode(msg)
+    word = msg @ ternary84_code.generator.data % 3
     assert word.tolist() == [1, 2, 0, 0, 0, 0, 0, 0]
     assert support([word]) == from_labels([1, 2])
     rows = ternary84_code.generator.data[2:]
     assert support(rows) == from_labels([5, 6, 7, 8])
-    assert weight(rows) == 4
+    assert popcount(support(rows)) == 4
 
 
 def test_support_length_mismatch():
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         support([[1, 0], [1, 0, 0]])
 
 
@@ -67,7 +61,7 @@ def test_parity_check_construction_roundtrip(ternary84_code):
     h = ternary84_code.generator.kernel_basis()
     C2 = LinearCode.from_parity_check(h)
     assert C2.k == ternary84_code.k
-    M1, M2 = code_matroid(ternary84_code), code_matroid(C2)
+    M1, M2 = ternary84_code.matroid(), C2.matroid()
     for mask in range(1 << 8):
         assert M1.rank(mask) == M2.rank(mask)
 
@@ -81,7 +75,7 @@ def test_shortened_subcode_cases(ternary84_code):
 
 
 def test_shortened_dimension_equals_nullity(ternary84_code):
-    M = code_matroid(ternary84_code)
+    M = ternary84_code.matroid()
     for mask in range(1 << 8):
         assert shortened_subcode(ternary84_code, mask).nrows == M.nullity(mask)
 
@@ -90,7 +84,7 @@ def test_shortened_dimension_random_codes():
     rng = np.random.default_rng(8)
     for _ in range(10):
         C = random_code(rng, int(rng.choice([2, 3])), int(rng.integers(3, 10)), 3)
-        M = code_matroid(C)
+        M = C.matroid()
         for mask in range(1 << C.n):
             sub = shortened_subcode(C, mask)
             assert sub.nrows == M.nullity(mask)
@@ -99,14 +93,14 @@ def test_shortened_dimension_random_codes():
 
 
 def test_code_matroid_fixtures(ternary84_code):
-    M = code_matroid(ternary84_code)
+    M = ternary84_code.matroid()
     assert M.corank == 4
     identity = LinearCode(FieldMatrix(2, np.eye(3, dtype=int).tolist()))
-    Mi = code_matroid(identity)
+    Mi = identity.matroid()
     assert Mi.corank == 3
     assert all(Mi.nullity(1 << b) == 1 for b in range(3))
     single = LinearCode(FieldMatrix(2, [[1, 1, 1]]))
-    lad = ladder(code_matroid(single))
+    lad = ladder(single.matroid())
     assert lad.levels == ((from_labels([1, 2, 3]),),)
 
 
@@ -140,22 +134,22 @@ def test_echelon_subspaces_distinct():
 
 
 def test_ghw_bruteforce_ternary84(ternary84_code):
-    assert [ghw_bruteforce(ternary84_code, r) for r in (1, 2, 3, 4)] == [2, 4, 6, 8]
+    assert subcode_weights(ternary84_code)[0] == (2, 4, 6, 8)
 
 
 def test_ghw_bruteforce_repetition():
-    assert ghw_bruteforce(REP3, 1) == 3
+    assert subcode_weights(REP3)[0] == (3,)
 
 
 def test_ghw_cap_and_range(ternary84_code):
     with pytest.raises(CapExceeded):
-        ghw_bruteforce(ternary84_code, 1, cap=8)
-    with pytest.raises(InputError):
-        ghw_bruteforce(ternary84_code, 5)
+        subcode_weights(ternary84_code, cap=8)
+    # one weight per subcode dimension 1..k
+    assert all(len(w) == ternary84_code.k for w in subcode_weights(ternary84_code))
 
 
 def test_greedy_bruteforce_ternary84(ternary84_code):
-    e, et, g = greedy_bruteforce(ternary84_code)
+    _, e, et, g = subcode_weights(ternary84_code)
     assert e == (2, 4, 7, 8)
     assert et == (3, 4, 6, 8)
     # the level-3 CEZ weight is 6: span{rows 3,4} has weight d_2 = 4 and
@@ -164,12 +158,11 @@ def test_greedy_bruteforce_ternary84(ternary84_code):
 
 
 def test_greedy_bruteforce_repetition():
-    assert greedy_bruteforce(REP3) == ((3,), (3,), (3,))
+    assert subcode_weights(REP3) == ((3,), (3,), (3,), (3,))
 
 
 def test_greedy_bruteforce_mds42():
-    assert greedy_bruteforce(MDS42) == ((3, 4), (3, 4), (3, 4))
-    assert [ghw_bruteforce(MDS42, r) for r in (1, 2)] == [3, 4]
+    assert subcode_weights(MDS42) == ((3, 4), (3, 4), (3, 4), (3, 4))
 
 
 def test_code_weights_fixtures(ternary84_code):
@@ -193,9 +186,7 @@ def test_weights_coincide_random_campaign():
         k = int(rng.integers(1, min(n, 3) + 1))
         C = random_code(rng, p, n, k)
         report = code_weights(C)
-        d_oracle = tuple(ghw_bruteforce(C, r) for r in range(1, k + 1))
-        assert report.d == d_oracle
-        assert (report.e, report.e_tilde, report.g) == greedy_bruteforce(C)
+        assert (report.d, report.e, report.e_tilde, report.g) == subcode_weights(C)
 
 
 def _reed_solomon(p: int, k: int, extended: bool = False) -> LinearCode:
@@ -267,7 +258,7 @@ def test_subcode_oracle_matches_ladder_route_larger_k(ternary84_code):
         # several least-weight subcodes of each dimension 1..k-1
         for r in range(1, C.k):
             words = echelon_subspaces(C.p, C.k, r) @ C.generator.data % C.p
-            weights = [weight(w) for w in words]
+            weights = [popcount(support(w)) for w in words]
             assert weights.count(min(weights)) > 1, (C, r)
 
 
@@ -286,9 +277,7 @@ def test_cap_trips_before_enumerating(monkeypatch):
     monkeypatch.setattr(codes_mod, "echelon_subspaces", refuse)
     ternary7 = LinearCode(FieldMatrix(3, np.hstack([np.eye(7, dtype=int)] * 2)))
     with pytest.raises(CapExceeded):
-        ghw_bruteforce(ternary7, 1)
-    with pytest.raises(CapExceeded):
-        greedy_bruteforce(ternary7)
+        subcode_weights(ternary7)
     with pytest.raises(CapExceeded):
         subcode_weights(MDS42, cap=subspace_count(3, 2) - 1)
 
@@ -299,7 +288,7 @@ def test_greedy_subcode_supports_are_ladder_members():
     rng = np.random.default_rng(77)
     for _ in range(10):
         C = random_code(rng, int(rng.choice([2, 3])), int(rng.integers(3, 9)), 2)
-        M = code_matroid(C)
+        M = C.matroid()
         report = code_weights(C)
         for level, mask in enumerate(report.witness_e, start=1):
             sub = shortened_subcode(C, mask)
@@ -314,13 +303,13 @@ def test_d_computing_subcode_supports_are_minimal_cycles():
     rng = np.random.default_rng(404)
     for _ in range(12):
         C = random_code(rng, int(rng.choice([2, 3])), int(rng.integers(2, 9)), 2)
-        M = code_matroid(C)
+        M = C.matroid()
         lad = ladder(M)
+        d = subcode_weights(C)[0]
         for r in range(1, C.k + 1):
-            d_r = ghw_bruteforce(C, r)
             for basis in echelon_subspaces(C.p, C.k, r):
                 words = (basis @ C.generator.data) % C.p
-                if weight(words) == d_r:
+                if popcount(support(words)) == d[r - 1]:
                     assert lad.contains(r, support(words))
 
 
@@ -338,22 +327,21 @@ def test_chained_code_iff_chained_matroid():
     for _ in range(25):
         C = random_code(rng, int(rng.choice([2, 3])), int(rng.integers(2, 9)), 2)
         report = code_weights(C)
-        e, et, g = greedy_bruteforce(C)
-        d = tuple(ghw_bruteforce(C, r) for r in range(1, C.k + 1))
+        d, e, _, _ = subcode_weights(C)
         code_chained = d == e
-        assert code_chained == is_chained(code_matroid(C))[0]
+        assert code_chained == is_chained(C.matroid())[0]
         assert code_chained == report.chained
 
 
 def test_code_matroid_axioms(ternary84_code):
-    assert validate_axioms(code_matroid(ternary84_code)).ok
+    assert validate_axioms(ternary84_code.matroid()).ok
 
 
 def test_code_file_roundtrip(ternary84_code):
-    text = format_code_file(ternary84_code)
+    text = "generator\n" + format_matrix(ternary84_code.generator)
     C2 = parse_code_file(text)
     assert C2.generator == ternary84_code.generator
-    assert format_code_file(C2) == text
+    assert format_matrix(C2.generator) == format_matrix(ternary84_code.generator)
 
 
 def test_code_file_parity_check_role(ternary84_code):
@@ -364,7 +352,7 @@ def test_code_file_parity_check_role(ternary84_code):
     )
     C2 = parse_code_file(text)
     assert C2.k == 4
-    M1, M2 = code_matroid(ternary84_code), code_matroid(C2)
+    M1, M2 = ternary84_code.matroid(), C2.matroid()
     assert all(M1.rank(m) == M2.rank(m) for m in range(1 << 8))
 
 

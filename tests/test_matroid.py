@@ -302,6 +302,18 @@ def test_rank_queries_reject_bad_masks(ternary84, query, mask):
         ask(mask)
 
 
+def test_rank_queries_take_label_64():
+    # a list holding a mask of 2^63 or more beside a smaller one is a valid
+    # query at n = 64
+    from matgreedy.weights import weight_report
+
+    assert uniform(63, 64).ranks([2**64 - 1, 5]).tolist() == [63, 2]
+    assert weight_report(uniform(63, 64)).d == (64,)
+    assert weight_report(from_circuits(64, [[63, 64]])).e == (2,)
+    with pytest.raises(InputError):
+        uniform(63, 64).ranks([2**64, 5])
+
+
 def test_random_matroids_satisfy_axioms():
     rng = np.random.default_rng(7)
     for _ in range(30):

@@ -14,29 +14,32 @@ from matgreedy.masks import from_labels, full_mask, is_subset, popcount
 from matgreedy.matroid import from_circuits, from_parity_check, uniform
 from matgreedy.gfp import FieldMatrix
 from matgreedy.wei import (
-    ChainProfile,
     check_wei_classical,
     check_wei_greedy,
-    delta_chain,
     dual_greedy_top_down,
     dual_hamming_weights,
 )
 from matgreedy.weights import greedy_bottom_up, greedy_top_down, hamming_weights
 from tests.conftest import FIXTURES, random_field_matrix, random_matroid
+from tests.paper_oracle import complement_profile, delta_chain
 
 
 def test_chain_profile_formula():
-    prof = ChainProfile.from_cardinalities(8, (2, 4, 7, 8))
-    assert prof.complement_profile == frozenset({3, 4, 6, 8})
-    prof2 = ChainProfile.from_cardinalities(4, (3, 4))
-    assert prof2.complement_profile == frozenset({3, 4})
+    assert complement_profile(8, (2, 4, 7, 8)) == frozenset({3, 4, 6, 8})
+    assert complement_profile(4, (3, 4)) == frozenset({3, 4})
 
 
 def test_chain_profile_validation():
     with pytest.raises(InputError):
-        ChainProfile.from_cardinalities(4, (3, 3))
-    with pytest.raises(InputError):
-        ChainProfile(n=4, cardinalities=(3, 4), complement_profile=frozenset({1, 2}))
+        complement_profile(4, (3, 3))
+    # a profile and its reflected cardinalities partition 1..n
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        cards = sorted(rng.choice(np.arange(1, n + 1), int(rng.integers(0, n + 1)), replace=False))
+        prof = complement_profile(n, cards)
+        reflected = {n + 1 - c for c in cards}
+        assert prof.isdisjoint(reflected) and prof | reflected == set(range(1, n + 1))
 
 
 def test_delta_chain_ternary84(ternary84):
@@ -45,7 +48,7 @@ def test_delta_chain_ternary84(ternary84):
     dual_chain = delta_chain(ternary84, chain)
     cards = tuple(popcount(m) for m in dual_chain)
     assert cards == (3, 4, 6, 8)
-    assert set(cards) == set(ChainProfile.from_cardinalities(8, e).complement_profile)
+    assert set(cards) == complement_profile(8, e)
     for a, b in zip(dual_chain, dual_chain[1:]):
         assert is_subset(a, b) and a != b
 
@@ -122,8 +125,8 @@ def test_lex_revlex_mirror_on_chain_pairs():
             for s2 in chains:
                 e1 = tuple(popcount(m) for m in s1)
                 e2 = tuple(popcount(m) for m in s2)
-                c1 = sorted(ChainProfile.from_cardinalities(M.n, e1).complement_profile)
-                c2 = sorted(ChainProfile.from_cardinalities(M.n, e2).complement_profile)
+                c1 = sorted(complement_profile(M.n, e1))
+                c2 = sorted(complement_profile(M.n, e2))
                 assert (e1 < e2) == (revkey(c1) < revkey(c2))
 
 
