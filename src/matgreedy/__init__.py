@@ -10,7 +10,7 @@ from .betti import (
     strand_check,
     strand_nonzero,
 )
-from .codes import LinearCode, code_weights, subcode_weights
+from .codes import LinearCode, subcode_weights
 from .errors import CapExceeded, InputError, InvariantError, MatGreedyError
 from .gfp import FieldMatrix, PrimeField, format_matrix, parse_matrix
 from .ladder import CycleLadder, circuits, is_cycle, ladder
@@ -54,7 +54,6 @@ __all__ = [
     "check_wei_classical",
     "check_wei_greedy",
     "circuits",
-    "code_weights",
     "format_matrix",
     "from_circuits",
     "from_descriptor",

@@ -40,11 +40,6 @@ class BettiDiagram:
     levels: tuple[tuple[int, ...], ...]
     values: dict[tuple[int, int], int] | None = None
 
-    def support(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, mask) for i, lv in enumerate(self.levels) for mask in lv
-        )
-
     def table_support(self) -> tuple[tuple[int, int], ...]:
         """Sorted (i, j) pairs with some support set of cardinality j at index i."""
         pairs = {
@@ -63,10 +58,6 @@ class BettiDiagram:
             key = (i, popcount(mask))
             out[key] = out.get(key, 0) + val
         return out
-
-    def min_degrees(self) -> tuple[int, ...]:
-        """Per homological index 1..t, the smallest support cardinality."""
-        return tuple(popcount(lv[0]) for lv in self.levels[1:])
 
     def to_json_dict(self) -> dict:
         doc: dict = {

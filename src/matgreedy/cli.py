@@ -5,8 +5,8 @@ line plus matrix text).  All structured output is JSON with sorted keys and
 ascending subsets, so a fixed input and flag set always produces identical
 bytes; tables are a human rendering of the same data.
 
-Exit codes: 0 success, 1 input error, 2 failed identity or broken invariant,
-3 resource cap exceeded.
+Exit codes: 0 success, 1 input error (usage errors included), 2 failed
+identity or broken invariant, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ class RunConfig:
             raise InputError(f"unknown command {self.command!r}")
         if self.cap_subsets <= 0 or self.cap_subspaces <= 0:
             raise InputError("caps must be positive")
+        if self.seed < 0:
+            raise InputError("the seed must not be negative")
         if self.fmt not in ("json", "table"):
             raise InputError(f"unknown format {self.fmt!r}")
 
@@ -164,7 +166,7 @@ def _cmd_validate(
         code is not None
         and codes_mod.subspace_count(code.p, code.k) <= config.cap_subspaces
     ):
-        report = codes_mod.code_weights(code)
+        report = weight_report(M)
         d_oracle, e_o, et_o, g_o = codes_mod.subcode_weights(
             code, cap=config.cap_subspaces
         )
@@ -261,8 +263,15 @@ def run(config: RunConfig) -> tuple[int, str]:
     return status, json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matgreedy",
         description="Weight hierarchies, greedy weights, Wei duality and "
         "Betti data for matroids and linear codes over prime fields.",
@@ -270,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
-        sp.add_argument("input", help="matroid JSON or code file")
-        sp.add_argument("--format", default="json", choices=("json", "table"))
+        sp.add_argument("input_path", metavar="input", help="matroid JSON or code file")
+        sp.add_argument("--format", dest="fmt", default="json", choices=("json", "table"))
         sp.add_argument(
             "--values", action="store_true", help="compute exact Betti values"
         )
@@ -288,19 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            fmt=args.format,
-            values=args.values,
-            chain=args.chain,
-            cap_subsets=args.cap_subsets,
-            cap_subspaces=args.cap_subspaces,
-            seed=args.seed,
-            dump_ladder=args.dump_ladder,
-        )
+        config = RunConfig(**vars(build_parser().parse_args(argv)))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

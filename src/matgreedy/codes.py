@@ -17,7 +17,6 @@ from .errors import CapExceeded, InputError
 from .gfp import FieldMatrix, parse_matrix
 from .kernels import CHUNK_ENTRIES, popcounts
 from .matroid import Matroid, from_generator
-from .weights import WeightReport, weight_report
 
 DEFAULT_SUBSPACE_CAP = 1 << 15
 
@@ -183,11 +182,6 @@ def subcode_weights(
         wr, frontier = lightest(r, lambda small: _containment(small, frontier, p)[0])
         et.append(wr)
     return d, tuple(e), tuple(reversed(et)), tuple(g)
-
-
-def code_weights(C: LinearCode) -> WeightReport:
-    """Production path: the full weight report through the code's matroid."""
-    return weight_report(C.matroid())
 
 
 # -- code file format --------------------------------------------------------

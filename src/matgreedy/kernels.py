@@ -172,8 +172,8 @@ def subset_sums(masks, subsets, weights):
 
 
 def circuit_closures(masks, circuits):
-    """Closure of each mask in a matroid given by its circuit masks: X plus
-    the one element of C - X for every circuit C with |C - X| = 1."""
+    """Closure of each mask, in any matroid given by its circuit masks: X
+    plus the one element of C - X for every circuit C with |C - X| = 1."""
     masks = np.asarray(masks, dtype=np.uint64)
     out = masks.copy()
     step = max(1, CHUNK_ENTRIES // max(1, circuits.size))

@@ -117,6 +117,11 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
     if M._ladder is not None:
         return M._ladder
     t = M.corank
+    if isinstance(M, UniformMatroid) and t >= 2:
+        # level 2's |circuits|^2 unions, priced before any circuit is built
+        count = comb(M.n, M.r + 1)
+        if count <= cap < count * count:
+            raise CapExceeded(f"ladder generation examined more than {cap} candidate unions")
     circs = circuits(M, cap=cap)
     levels: list[tuple[int, ...]] = []
     work = 0

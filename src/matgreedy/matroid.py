@@ -1,16 +1,17 @@
 """Matroids with rank/nullity oracles: linear over GF(p), circuit-defined,
 uniform, and duals.
 
-Every matroid is immutable after construction.  Each kind answers rank
-queries for a whole batch of subsets at once; linear matroids on small
-ground sets precompute a full rank table with the subset_ranks kernel.
+A matroid's ground set and rank function never change after construction;
+only its circuit and ladder caches are written, by ladder.py.  Each kind
+answers rank queries for a whole batch of subsets at once; linear matroids
+on small ground sets precompute a full rank table with the subset_ranks
+kernel.
 Labels are 1-based throughout.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,9 +44,6 @@ class Matroid:
         self.n = n
         self._circuits: tuple[int, ...] | None = None
         self._ladder = None
-        # the matroid this one is the dual of, if it was built as one
-        self._dual_of: Matroid | None = None
-        self._dual_ref: weakref.ref | None = None
 
     # -- rank oracle ----------------------------------------------------
 
@@ -78,21 +76,6 @@ class Matroid:
     def rank(self, mask: int) -> int:
         return int(self.ranks([mask])[0])
 
-    def closures(self, masks) -> np.ndarray:
-        """cl(X) = X + {e : r(X + e) = r(X)} for each mask of a batch, as
-        uint64, with one rank query per chunk."""
-        masks = np.asarray(masks, dtype=np.uint64)
-        bits = np.uint64(1) << np.arange(self.n, dtype=np.uint64)
-        out = masks.copy()
-        step = max(1, kernels.CHUNK_ENTRIES // (self.n + 1))
-        for start in range(0, masks.size, step):
-            chunk = masks[start : start + step]
-            grown = chunk[:, None] | bits
-            r = self.ranks(np.concatenate([chunk, grown.ravel()]))
-            same = r[chunk.size :].reshape(grown.shape) == r[: chunk.size, None]
-            out[start : start + step] |= np.bitwise_or.reduce(np.where(same, bits, 0), axis=1)
-        return out
-
     def nullity(self, mask: int) -> int:
         return popcount(mask) - self.rank(mask)
 
@@ -106,28 +89,9 @@ class Matroid:
         return self.n - self.full_rank
 
     def dual(self) -> "Matroid":
-        """The dual matroid; dual().dual() is self.
-
-        Calls share one dual, with its circuits and ladder, while a caller
-        holds it.  Self refers to it only weakly, so the pair forms no
-        reference cycle and is freed by reference counting.
-        """
-        if self._dual_of is not None:
-            return self._dual_of
-        dual = self._dual_ref() if self._dual_ref is not None else None
-        if dual is None:
-            dual = self._build_dual()
-            dual._dual_of = self
-            self._dual_ref = weakref.ref(dual)
-        return dual
-
-    def _build_dual(self) -> "Matroid":
+        """The dual, r*(X) = |X| + r(E-X) - r(E): a new object with its own
+        caches on each call, but the dual of a dual is the matroid it wraps."""
         return DualMatroid(self)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_descriptor(self) -> dict:
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n})"
@@ -160,14 +124,6 @@ class LinearMatroid(Matroid):
     def p(self) -> int:
         return self.matrix.p
 
-    def to_descriptor(self) -> dict:
-        return {
-            "type": "linear",
-            "p": self.p,
-            "role": "parity_check",
-            "matrix": [[int(x) for x in row] for row in self.matrix.data],
-        }
-
 
 class CircuitMatroid(Matroid):
     """Matroid given by its circuit list; rank by greedy basis growth.
@@ -197,22 +153,11 @@ class CircuitMatroid(Matroid):
                         f"circuit list is not an antichain: "
                         f"{to_labels(small)} contained in {to_labels(big)}"
                     )
-        self.circuit_masks = tuple(circs)
-        self._circuits = self.circuit_masks
+        self._circuits = tuple(circs)
         self._circ_arr = np.array(circs, dtype=np.uint64)
 
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
         return kernels.circuit_ranks(masks, self._circ_arr, self.n)
-
-    def closures(self, masks) -> np.ndarray:
-        return kernels.circuit_closures(masks, self._circ_arr)
-
-    def to_descriptor(self) -> dict:
-        return {
-            "type": "circuits",
-            "n": self.n,
-            "circuits": [list(to_labels(c)) for c in self.circuit_masks],
-        }
 
 
 class UniformMatroid(Matroid):
@@ -229,11 +174,8 @@ class UniformMatroid(Matroid):
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
         return np.minimum(kernels.popcounts(masks), self.r)
 
-    def _build_dual(self) -> "Matroid":
+    def dual(self) -> "Matroid":
         return UniformMatroid(self.n - self.r, self.n)
-
-    def to_descriptor(self) -> dict:
-        return {"type": "uniform", "r": self.r, "n": self.n}
 
 
 class DualMatroid(Matroid):
@@ -244,15 +186,13 @@ class DualMatroid(Matroid):
     def __init__(self, inner: Matroid):
         super().__init__(inner.n)
         self.inner = inner
-        self._dual_of = inner
-        inner._dual_ref = weakref.ref(self)
 
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
         comp = np.uint64(full_mask(self.n)) ^ masks
         return kernels.popcounts(masks) + self.inner._ranks(comp) - self.inner.full_rank
 
-    def to_descriptor(self) -> dict:
-        return {"type": "dual", "of": self.inner.to_descriptor()}
+    def dual(self) -> "Matroid":
+        return self.inner
 
 
 def from_parity_check(h: FieldMatrix) -> Matroid:

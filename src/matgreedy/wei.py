@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapExceeded, require
-from .ladder import unions
+from .ladder import DEFAULT_SUBSET_CAP, circuits, unions
 from .masks import popcount
 from .matroid import Matroid
 from .weights import greedy_bottom_up, hamming_weights
@@ -45,10 +45,13 @@ def dual_greedy_top_down(M: Matroid, cap: int | None = None) -> tuple[int, ...]:
     E - G lies in E - F iff F lies in G, so the dual's top-down sweep starts
     at cl(empty) and, rank by rank, closes every F + e of the frontier and
     keeps the largest of these covers; e-tilde(M*)_l = n - (its size at rank
-    r - l).  cap bounds the distinct sets F + e of a rank, before closing.
+    r - l), closing sets through M's circuits.  cap bounds the distinct sets
+    F + e of a rank, before closing, and the enumeration of M's circuits if
+    they are not cached yet (DEFAULT_SUBSET_CAP if cap is None).
     """
+    circs = np.array(circuits(M, DEFAULT_SUBSET_CAP if cap is None else cap), dtype=np.uint64)
     bits = np.uint64(1) << np.arange(M.n, dtype=np.uint64)
-    frontier = M.closures(np.zeros(1, dtype=np.uint64))
+    frontier = kernels.circuit_closures(np.zeros(1, dtype=np.uint64), circs)
     sizes, found = [popcount(int(frontier[0]))], [np.zeros(0, dtype=np.uint64)]
     for k in range(1, M.full_rank + 1):
         grown = unions(frontier, bits)
@@ -56,7 +59,7 @@ def dual_greedy_top_down(M: Matroid, cap: int | None = None) -> tuple[int, ...]:
             raise CapExceeded(
                 f"the flats walk at rank {k} needs {grown.size} closures, more than {cap}"
             )
-        found.append(kernels.distinct(M.closures(grown)))
+        found.append(kernels.distinct(kernels.circuit_closures(grown, circs)))
         card = kernels.popcounts(found[-1])
         sizes.append(int(card.max(initial=0)))
         frontier = found[-1][card == sizes[-1]]

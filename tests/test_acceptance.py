@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from matgreedy.betti import betti_values, resolution_shape, strand_check
-from matgreedy.codes import LinearCode, code_weights, subcode_weights
+from matgreedy.codes import LinearCode, subcode_weights
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import ladder
 from matgreedy.masks import from_labels, full_mask, popcount, to_labels
@@ -259,7 +259,7 @@ def test_criterion_08_code_matroid_coincidence():
         n = int(rng.integers(2, 10))
         k = int(rng.integers(1, min(n, 3) + 1))
         C = random_code(rng, p, n, k)
-        report = code_weights(C)
+        report = weight_report(C.matroid())
         if (report.d, report.e, report.e_tilde, report.g) != subcode_weights(C):
             mismatches.append(trial)
     elapsed = time.perf_counter() - start

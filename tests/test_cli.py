@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import time
 
@@ -15,6 +17,7 @@ from matgreedy.cli import COMMANDS, RunConfig, main, run
 from matgreedy.codes import LinearCode
 from matgreedy.errors import InputError
 from matgreedy.gfp import FieldMatrix, format_matrix
+from matgreedy.ladder import DEFAULT_SUBSET_CAP
 from tests.conftest import FIXTURES, random_code
 from tests.test_betti import hilbert_numerator_order
 
@@ -239,14 +242,17 @@ def test_exit_codes(tmp_path):
 
 
 def test_uniform_circuits_trip_the_cap_before_enumerating(tmp_path):
-    # U(10,40) has C(40,11) = 2,311,801,440 circuits
-    path = tmp_path / "u40.json"
-    path.write_text('{"type": "uniform", "r": 10, "n": 40}')
-    for command in ("weights", "betti"):
-        start = time.perf_counter()
-        status, out = run(RunConfig(command, str(path), cap_subsets=1000))
-        assert status == 3 and out.startswith("cap exceeded:")
-        assert time.perf_counter() - start < 1.0
+    # U(10,40) has C(40,11) = 2,311,801,440 circuits; U(12,24) has
+    # C(24,13) = 2,496,144, under the default cap, but level 2 of its ladder
+    # alone would take their square in unions
+    for r, n, cap in ((10, 40, 1000), (12, 24, DEFAULT_SUBSET_CAP)):
+        path = tmp_path / f"u{n}.json"
+        path.write_text(json.dumps({"type": "uniform", "r": r, "n": n}))
+        for command in ("weights", "betti"):
+            start = time.perf_counter()
+            status, out = run(RunConfig(command, str(path), cap_subsets=cap))
+            assert status == 3 and out.startswith("cap exceeded:")
+            assert time.perf_counter() - start < 1.0
 
 
 def test_betti_values_m23():
@@ -426,6 +432,53 @@ def test_exit_contract_on_any_input(tmp_path_factory, text, command, values):
     assert main(argv + ["--values"] * values) in (0, 1, 2, 3)
 
 
+def _not_help(token: str) -> bool:
+    # -h and every prefix of --help print the help text and exit 0
+    return not token.startswith(("-h", "--h"))
+
+
+flag_values = (
+    st.integers(-2, DEFAULT_SUBSET_CAP).map(str)
+    | st.sampled_from(["json", "table", "xml", "abc", "", "1.5", "0", "-1", "1|1,2"])
+    | st.text(max_size=6)
+).filter(_not_help)
+flag_names = st.sampled_from(
+    ["--format", "--cap-subsets", "--cap-subspaces", "--seed", "--chain", "--values",
+     "--dump-ladder", "--bogus", "--c", "-x", "--"]
+) | st.from_regex(r"--?[a-z][a-z\-]{0,8}", fullmatch=True).filter(_not_help)
+flag_groups = st.tuples(flag_names, st.lists(flag_values, max_size=1)).map(
+    lambda group: [group[0], *group[1]]
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(sorted(COMMANDS)),
+    inputs=st.sampled_from([[M23], [TERNARY84], [U24], [CODE8], []]),
+    flags=st.lists(flag_groups, max_size=4),
+)
+@example(command="weights", inputs=[M23], flags=[["--format", "xml"]])
+@example(command="weights", inputs=[M23], flags=[["--cap-subsets", "abc"]])
+@example(command="weights", inputs=[M23], flags=[["--bogus"]])
+@example(command="weights", inputs=[], flags=[])
+@example(command="validate", inputs=[M23], flags=[["--seed", "-1"]])
+@example(command="validate", inputs=[M23], flags=[["--cap-subsets", "0"], ["--seed", "1"]])
+def test_exit_contract_on_any_flags(command, inputs, flags):
+    # every flag set ends in exit 0, 1, 2 or 3 with no exception, SystemExit
+    # included, escaping main; a usage error is an input error, not a usage dump
+    argv = [command, *inputs, *(token for group in flags for token in group)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            pytest.fail(f"main raised SystemExit({exc.code}) on {argv}")
+    assert status in (0, 1, 2, 3)
+    if status == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("input error: ")
+    assert "usage:" not in err.getvalue()
+
+
 def test_ladder_invariant_fires_under_optimize(tmp_path):
     import subprocess
     import sys
@@ -481,3 +534,12 @@ def test_main_entry(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "input error" in captured.err
+    # usage errors are input errors too; only --help leaves through SystemExit
+    for argv in (["weights", M23, "--format", "xml"], ["weights", M23, "--cap-subsets", "abc"],
+                 ["weights", M23, "--bogus"], ["weights"], ["validate", M23, "--seed", "-1"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--help"])
+    assert exc.value.code == 0 and "usage: matgreedy weights" in capsys.readouterr().out

@@ -8,7 +8,6 @@ import pytest
 from matgreedy import codes as codes_mod
 from matgreedy.codes import (
     LinearCode,
-    code_weights,
     echelon_subspaces,
     parse_code_file,
     subcode_weights,
@@ -19,7 +18,7 @@ from matgreedy.gfp import FieldMatrix, format_matrix
 from matgreedy.ladder import is_cycle, ladder
 from matgreedy.masks import from_labels, popcount
 from matgreedy.matroid import validate_axioms
-from matgreedy.weights import is_chained
+from matgreedy.weights import is_chained, weight_report
 from tests.conftest import random_code
 from tests.paper_oracle import shortened_subcode, support
 
@@ -166,12 +165,12 @@ def test_greedy_bruteforce_mds42():
 
 
 def test_code_weights_fixtures(ternary84_code):
-    report = code_weights(ternary84_code)
+    report = weight_report(ternary84_code.matroid())
     assert report.d == (2, 4, 6, 8)
     assert report.e == (2, 4, 7, 8)
     assert report.e_tilde == (3, 4, 6, 8)
     assert report.g == (2, 4, 6, 8)
-    rep = code_weights(REP3)
+    rep = weight_report(REP3.matroid())
     assert rep.d == rep.e == rep.e_tilde == rep.g == (3,)
     assert rep.chained
 
@@ -185,7 +184,7 @@ def test_weights_coincide_random_campaign():
         n = int(rng.integers(2, 10))
         k = int(rng.integers(1, min(n, 3) + 1))
         C = random_code(rng, p, n, k)
-        report = code_weights(C)
+        report = weight_report(C.matroid())
         assert (report.d, report.e, report.e_tilde, report.g) == subcode_weights(C)
 
 
@@ -250,7 +249,7 @@ def test_subcode_oracle_matches_ladder_route_larger_k(ternary84_code):
     not_chained = 0
     for C in codes:
         assert 4 <= C.k <= 6 and C.n <= 12
-        report = code_weights(C)
+        report = weight_report(C.matroid())
         assert (report.d, report.e, report.e_tilde, report.g) == subcode_weights(C), C
         not_chained += not report.chained
     assert not_chained >= 3
@@ -266,7 +265,7 @@ def test_subcode_oracle_small_chunks(monkeypatch, ternary84_code):
     # chunks of a few pairs split every containment test into many pieces
     monkeypatch.setattr(codes_mod, "CHUNK_ENTRIES", 64)
     for C in _larger_k_codes(ternary84_code):
-        report = code_weights(C)
+        report = weight_report(C.matroid())
         assert (report.d, report.e, report.e_tilde, report.g) == subcode_weights(C), C
 
 
@@ -289,7 +288,7 @@ def test_greedy_subcode_supports_are_ladder_members():
     for _ in range(10):
         C = random_code(rng, int(rng.choice([2, 3])), int(rng.integers(3, 9)), 2)
         M = C.matroid()
-        report = code_weights(C)
+        report = weight_report(C.matroid())
         for level, mask in enumerate(report.witness_e, start=1):
             sub = shortened_subcode(C, mask)
             assert sub.nrows == level
@@ -317,7 +316,7 @@ def test_zero_dimensional_code():
     h = FieldMatrix(3, np.eye(4, dtype=int).tolist())
     C = LinearCode.from_parity_check(h)
     assert C.k == 0 and C.n == 4
-    report = code_weights(C)
+    report = weight_report(C.matroid())
     assert report.t == 0
     assert report.d == () and report.chained
 
@@ -326,7 +325,7 @@ def test_chained_code_iff_chained_matroid():
     rng = np.random.default_rng(2718)
     for _ in range(25):
         C = random_code(rng, int(rng.choice([2, 3])), int(rng.integers(2, 9)), 2)
-        report = code_weights(C)
+        report = weight_report(C.matroid())
         d, e, _, _ = subcode_weights(C)
         code_chained = d == e
         assert code_chained == is_chained(C.matroid())[0]

@@ -1,0 +1,63 @@
+"""Golden output: the sha256 of (exit code, stdout) of every fixture under
+nine command configurations, run in-process through the console entry point.
+
+A change that should keep the CLI's output must pass this file unchanged;
+a change that alters output on purpose updates the hashes and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from matgreedy.cli import main
+from tests.conftest import FIXTURES
+
+GOLDEN = {
+    ("m23.json", "weights"): "7243ec0922e2a4e166494df9d56e5b136395500cfe19f2e2a11dfae5d7536313",
+    ("m23.json", "weights --dump-ladder"): "a63ea8a6260d44b7e534fb78f3e2b79993c3fb6df8d5698783ffb4b1c90d3f4d",
+    ("m23.json", "chained"): "415d0e9a65219e8fa3929132adbc7eec40b15e6c92818bde38be43dd57bc467c",
+    ("m23.json", "betti"): "807d597483e5e52d48449cafdf607538cb7e9f43b5eda4d09ae7f97483cc35f2",
+    ("m23.json", "betti --values"): "0e732bae0863f859e8d0e5f8264bbf5bd66a2fa35dc1d5f86578675a5789303e",
+    ("m23.json", "betti --format table"): "72a3cd8b0bb96b8d0e6cafa2201a970dbed8236b94ab25b6388c4585e7c99021",
+    ("m23.json", "wei"): "7d6d9d8c6791ab9590a3a01acd6642eb0f61f3b54c643e9803bfee2df615de15",
+    ("m23.json", "report"): "c90fa4f8de361b964ee839f7d79c473e4a67d059ac26d4b4228cc6f7e684e305",
+    ("m23.json", "validate"): "7f58030ab646dbda427f726a619bcd7f84e88c82743675e1845b8454aa12b6ed",
+    ("ternary84.json", "weights"): "d6d20206997df0c18807c41a066bbcc2e7fb707c1f3ebe7a497a6d501caa9c9a",
+    ("ternary84.json", "weights --dump-ladder"): "9214baa22b6fb8e0c2abc1015bf029516072987d05e63f18345a38cf397f6cd8",
+    ("ternary84.json", "chained"): "415d0e9a65219e8fa3929132adbc7eec40b15e6c92818bde38be43dd57bc467c",
+    ("ternary84.json", "betti"): "bef536a8e42c732fc57e11056320d13d09f925026639af49708bc35eeca62850",
+    ("ternary84.json", "betti --values"): "2aafe3443e36a32b2bf812e2c0c6ed5d01a20af9354884b03a3b16e245fc2236",
+    ("ternary84.json", "betti --format table"): "eb4a7f96c42694147787ddb79670cf504a99709a0f1a97fca90a2cb05ade7f71",
+    ("ternary84.json", "wei"): "f1b83524ad8c914af7d0540acb7b62bdb8752c75f3916e725131cfca2b228dfb",
+    ("ternary84.json", "report"): "138bbfb4fa52134a3acfc05f87a82a0282a76acc7df08aba0f39db39cc7bfa6f",
+    ("ternary84.json", "validate"): "dea43a060bbb5eebebb8f297880bd3dbbce619d11340d199b413b5ee3e942f37",
+    ("ternary84_code.txt", "weights"): "d6d20206997df0c18807c41a066bbcc2e7fb707c1f3ebe7a497a6d501caa9c9a",
+    ("ternary84_code.txt", "weights --dump-ladder"): "9214baa22b6fb8e0c2abc1015bf029516072987d05e63f18345a38cf397f6cd8",
+    ("ternary84_code.txt", "chained"): "415d0e9a65219e8fa3929132adbc7eec40b15e6c92818bde38be43dd57bc467c",
+    ("ternary84_code.txt", "betti"): "bef536a8e42c732fc57e11056320d13d09f925026639af49708bc35eeca62850",
+    ("ternary84_code.txt", "betti --values"): "2aafe3443e36a32b2bf812e2c0c6ed5d01a20af9354884b03a3b16e245fc2236",
+    ("ternary84_code.txt", "betti --format table"): "eb4a7f96c42694147787ddb79670cf504a99709a0f1a97fca90a2cb05ade7f71",
+    ("ternary84_code.txt", "wei"): "f1b83524ad8c914af7d0540acb7b62bdb8752c75f3916e725131cfca2b228dfb",
+    ("ternary84_code.txt", "report"): "138bbfb4fa52134a3acfc05f87a82a0282a76acc7df08aba0f39db39cc7bfa6f",
+    ("ternary84_code.txt", "validate"): "3d1a876955f5c97bb6c82ecc45644cd9d73a9dbe4c482035c414ba17e23723b2",
+    ("uniform_2_4.json", "weights"): "2de2bc12a949cff178c9a6a401c44c447d030380a7668da3dd65362dde466676",
+    ("uniform_2_4.json", "weights --dump-ladder"): "ac44163011a9f03ee095a741d851c3c01bd36b3ccb8dff38d42d4be54e26deb2",
+    ("uniform_2_4.json", "chained"): "1db88f09c92d57295c8e01f67217704ce35d302066b745e65af7c7728a79ea36",
+    ("uniform_2_4.json", "betti"): "c38c14e2c5d960508effde5b6d292a46e541d59d11c543ef5f23bf368e9e205a",
+    ("uniform_2_4.json", "betti --values"): "e0fb18543af7cb38c65f87fa8551a8a5cfc402399911c112f11c4da174eb72d9",
+    ("uniform_2_4.json", "betti --format table"): "61d6c4c29915c0af0b017bd8067d2e2f232794120c5851dd0194120773916726",
+    ("uniform_2_4.json", "wei"): "9d2a6450a52e491a2b372c0413475c5784bb58ff664deab3e7392e34e8a5a63b",
+    ("uniform_2_4.json", "report"): "9dda8055f3d08796d53675bde293696e6ec9b4f644a8abf7435e5c0f95d649ee",
+    ("uniform_2_4.json", "validate"): "5810f6af7220316e93b08404333c8532e7ce1264fa24efc2d0e720c63163304e",
+}
+
+
+@pytest.mark.parametrize("fixture, config", sorted(GOLDEN))
+def test_golden_output(capsys, fixture, config):
+    command, *flags = config.split()
+    status = main([command, str(FIXTURES / fixture), *flags])
+    stdout = capsys.readouterr().out
+    digest = hashlib.sha256(f"{status}\n{stdout}".encode()).hexdigest()
+    assert digest == GOLDEN[fixture, config]

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from matgreedy import cli
+from matgreedy import cli, kernels
 from matgreedy.errors import CapExceeded, InputError, InvariantError
 from matgreedy.ladder import circuits, ladder
 from matgreedy.masks import from_labels, full_mask, is_subset, popcount
@@ -197,8 +197,7 @@ def _dual_side_oracle(M):
 
 
 def test_flats_walk_and_rank_scan_equal_dual_ladder():
-    # linear matroids over GF(2/3/5) take the rank route of closures, their
-    # circuit-list twins the circuit route
+    # linear matroids over GF(2/3/5), their circuit-list twins and their duals
     rng = np.random.default_rng(2718)
     for it in range(60):
         p = (2, 3, 5)[it % 3]
@@ -244,29 +243,30 @@ def _loaded(monkeypatch):
     "name", ["ternary84.json", "ternary84_code.txt", "uniform_2_4.json", "m23.json"]
 )
 def test_wei_commands_build_no_dual_ladder(monkeypatch, name):
-    # every ladder goes through circuits(); only the loaded matroid may reach it
-    ladder_mod = sys.modules["matgreedy.ladder"]
+    # every ladder and the flats walk go through circuits(); only the loaded
+    # matroid may reach it, and every dual is a new object
     built = []
-    real = ladder_mod.circuits
-    monkeypatch.setattr(ladder_mod, "circuits", lambda M, cap: built.append(M) or real(M, cap))
+    real = sys.modules["matgreedy.ladder"].circuits
+    for module in ("matgreedy.ladder", "matgreedy.wei"):
+        monkeypatch.setattr(sys.modules[module], "circuits",
+                            lambda M, cap: built.append(M) or real(M, cap))
     loaded = _loaded(monkeypatch)
     for command in ("wei", "report"):
         status, _ = cli.run(cli.RunConfig(command, str(FIXTURES / name)))
         assert status == 0
     assert loaded and all(M is loaded[0] or M is loaded[1] for M in built)
-    for M in loaded:
-        assert M._ladder is not None and M.dual()._ladder is None
+    assert all(M._ladder is not None for M in loaded)
 
 
 def test_flats_walk_cap_trips_before_the_batch(m23, monkeypatch):
     batches = []
-    real = m23.closures
+    real = kernels.circuit_closures
 
-    def counting(masks):
+    def counting(masks, circs):
         batches.append(len(masks))
-        return real(masks)
+        return real(masks, circs)
 
-    monkeypatch.setattr(m23, "closures", counting)
+    monkeypatch.setattr(kernels, "circuit_closures", counting)
     dual_greedy_top_down(m23)
     # batches[0] closes the empty set; batches[k] holds the sets of rank k
     cap = max(batches) - 1
