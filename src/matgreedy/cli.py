@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import betti as betti_mod
@@ -54,7 +54,7 @@ def _load_input(path: str) -> tuple[Matroid, codes_mod.LinearCode | None]:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path!r}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return from_descriptor(stripped), None
@@ -127,16 +127,13 @@ def _cmd_strands(M: Matroid, config: RunConfig, code=None) -> dict:
     }
 
 
-def _cmd_wei(
-    M: Matroid, config: RunConfig, code=None, cap: int | None = None
-) -> dict:
+def _cmd_wei(M: Matroid, config: RunConfig, code=None) -> dict:
     # an identity whose dual side is over the cap is skipped on its own
-    cap = config.cap_subsets if cap is None else cap
     checks = {"greedy": wei.check_wei_greedy, "classical": wei.check_wei_classical}
     doc = {}
     for name, check in checks.items():
         try:
-            doc[name] = check(M, cap=cap)
+            doc[name] = check(M, cap=config.cap_subsets)
         except CapExceeded as exc:
             doc[name] = {"skipped": str(exc)}
     return doc
@@ -152,9 +149,7 @@ def _cmd_chained(M: Matroid, config: RunConfig, code=None) -> dict:
     }
 
 
-def _cmd_validate(
-    M: Matroid, config: RunConfig, code: codes_mod.LinearCode | None
-) -> dict:
+def _cmd_validate(M: Matroid, config: RunConfig, code: codes_mod.LinearCode | None) -> dict:
     axioms = validate_axioms(M, seed=config.seed)
     doc: dict = {"axioms": axioms.to_json_dict()}
     if not axioms.ok:
@@ -162,24 +157,18 @@ def _cmd_validate(
     # the ladder of a non-matroid fails its own invariant, so it is built
     # only once the axioms hold
     build_ladder(M, cap=config.cap_subsets)
-    if (
-        code is not None
-        and codes_mod.subspace_count(code.p, code.k) <= config.cap_subspaces
-    ):
-        report = weight_report(M)
-        d_oracle, e_o, et_o, g_o = codes_mod.subcode_weights(
-            code, cap=config.cap_subspaces
-        )
-        doc["code_oracle"] = {
-            "agrees": report.d == d_oracle
-            and report.e == e_o
-            and report.e_tilde == et_o
-            and report.g == g_o,
-            "d": list(d_oracle),
-            "e": list(e_o),
-            "e_tilde": list(et_o),
-            "g": list(g_o),
-        }
+    if code is None:
+        return doc
+    try:
+        oracle = codes_mod.subcode_weights(code, cap=config.cap_subspaces)
+    except CapExceeded:
+        return doc  # the oracle is skipped above its cap
+    report = weight_report(M)
+    names = ("d", "e", "e_tilde", "g")
+    doc["code_oracle"] = {
+        "agrees": tuple(getattr(report, name) for name in names) == oracle,
+        **{name: list(vec) for name, vec in zip(names, oracle)},
+    }
     return doc
 
 
@@ -197,7 +186,8 @@ def _cmd_report(M: Matroid, config: RunConfig, code=None) -> dict:
     }
     if config.chain:
         doc["strands"] = _cmd_strands(M, config)
-    doc["wei"] = _cmd_wei(M, config, cap=min(config.cap_subsets, REPORT_WEI_CAP))
+    tight = replace(config, cap_subsets=min(config.cap_subsets, REPORT_WEI_CAP))
+    doc["wei"] = _cmd_wei(M, tight)
     return doc
 
 
@@ -208,10 +198,6 @@ def _wei_fails(doc: dict) -> bool:
 def _validate_fails(doc: dict) -> bool:
     oracle = doc.get("code_oracle", {"agrees": True})
     return not (doc["axioms"]["ok"] and oracle["agrees"])
-
-
-def _report_fails(doc: dict) -> bool:
-    return _wei_fails(doc["wei"])
 
 
 @dataclass(frozen=True)
@@ -231,7 +217,7 @@ COMMANDS = {
     "strands": _Command("check a strand given with --chain", _cmd_strands),
     "wei": _Command("both Wei duality identities", _cmd_wei, _wei_fails),
     "chained": _Command("chainedness verdict and witness chain", _cmd_chained),
-    "report": _Command("everything at once", _cmd_report, _report_fails),
+    "report": _Command("everything at once", _cmd_report, lambda doc: _wei_fails(doc["wei"])),
     "validate": _Command(
         "axiom check; code inputs also get oracle cross-check",
         _cmd_validate,
@@ -278,27 +264,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        sp = sub.add_parser(name, help=command.help)
+        # an option left out is absent, so RunConfig's default applies
+        sp = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
         sp.add_argument("input_path", metavar="input", help="matroid JSON or code file")
-        sp.add_argument("--format", dest="fmt", default="json", choices=("json", "table"))
+        sp.add_argument("--format", dest="fmt", choices=("json", "table"))
         sp.add_argument(
             "--values", action="store_true", help="compute exact Betti values"
         )
         sp.add_argument("--chain", help='chain of subsets, e.g. "1,2|1,2,3,4"')
-        sp.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
+        sp.add_argument("--cap-subsets", type=int)
         sp.add_argument(
-            "--cap-subspaces", type=int, default=codes_mod.DEFAULT_SUBSPACE_CAP,
+            "--cap-subspaces", type=int,
             help="most subspaces of the message space GF(p)^k that validate's "
             "subcode oracle may enumerate; above it the oracle is skipped",
         )
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int)
         sp.add_argument("--dump-ladder", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        config = RunConfig(**vars(build_parser().parse_args(argv)))
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            # each token quoted, as argparse's other messages quote theirs
+            raise InputError(f"unrecognized arguments: {' '.join(map(repr, unknown))}")
+        config = RunConfig(**vars(args))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -72,11 +72,6 @@ def subspace_count(p: int, k: int) -> int:
     return total
 
 
-def _check_cap(C: LinearCode, cap: int) -> None:
-    if (count := subspace_count(C.p, C.k)) > cap:
-        raise CapExceeded(f"{count} subspaces of GF({C.p})^{C.k} exceed the cap {cap}")
-
-
 def echelon_subspaces(p: int, k: int, r: int) -> np.ndarray:
     """Every r-dimensional subspace of GF(p)^k as its unique RREF basis,
     stacked into a (count, r, k) array: one block per pivot set, whose free
@@ -147,8 +142,9 @@ def subcode_weights(
     a later level may only be reachable through one of them.  The cap bounds
     the number of subspaces and is checked before anything is enumerated.
     """
-    _check_cap(C, cap)
     k, p = C.k, C.p
+    if (count := subspace_count(p, k)) > cap:
+        raise CapExceeded(f"{count} subspaces of GF({p})^{k} exceed the cap {cap}")
     if k == 0:
         return (), (), (), ()
     bases = [echelon_subspaces(p, k, r) for r in range(k + 1)]

@@ -1,5 +1,6 @@
-"""Batched integer kernels: mod-p elimination, column-subset ranks, circuit
-ranks and closures, containment tests and weighted containment sums.
+"""Batched integer kernels: k-subset masks, bit counts, mod-p elimination,
+column-subset ranks, circuit ranks and closures, containment tests and
+weighted containment sums.
 
 Each kernel treats a whole batch of subset masks with numpy array operations.
 Batches are split into chunks so that no temporary holds more than about
@@ -17,13 +18,24 @@ import numpy as np
 # entries per temporary array of a chunked kernel (128 KB of int64/uint64)
 CHUNK_ENTRIES = 1 << 14
 
-_POPCOUNT_BYTE = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+def subsets(n: int, size: int) -> np.ndarray:
+    """Masks of all size-element subsets of {1..n}, ascending, as uint64:
+    the (k+1)-subsets with highest bit j are the k-subsets below 2^j plus j.
+    Past n/2 they are built as complements, so no step outgrows the output."""
+    if 2 * size > n >= size:  # complementing reverses the order
+        return np.uint64((1 << n) - 1) ^ subsets(n, n - size)[::-1]
+    out = np.zeros(int(size <= n), dtype=np.uint64)  # no subset when size > n
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    for _ in range(size):
+        ends = np.searchsorted(out, bits)
+        out = np.concatenate([out[:0]] + [out[:end] | bit for end, bit in zip(ends, bits)])
+    return out
 
 
 def popcounts(masks) -> np.ndarray:
     """Number of set bits of each mask, as int64."""
-    masks = np.ascontiguousarray(masks, dtype=np.uint64)
-    return _POPCOUNT_BYTE[masks.view(np.uint8)].reshape(-1, 8).sum(axis=1)
+    return np.bitwise_count(np.asarray(masks, dtype=np.uint64)).astype(np.int64)
 
 
 def distinct(masks) -> np.ndarray:

@@ -14,21 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import islice
 from math import comb
 
 import numpy as np
 
 from . import kernels
 from .errors import CapExceeded, InputError, InvariantError
-from .masks import from_labels, popcount, singletons, to_labels
+from .masks import full_mask, popcount, singletons, to_labels
 from .matroid import Matroid, UniformMatroid
 
 DEFAULT_SUBSET_CAP = 5_000_000
-
-
-def _sort_key(mask: int) -> tuple[int, int]:
-    return (popcount(mask), mask)
 
 
 def unions(prev: np.ndarray, circs: np.ndarray) -> np.ndarray:
@@ -75,8 +71,7 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
 
     Circuit-defined matroids return their stored list and uniform matroids
     the analytic one, whose size the cap bounds; otherwise minimal dependent
-    sets are enumerated by increasing cardinality, skipping supersets of
-    circuits already found.
+    sets are enumerated in that order, skipping supersets of circuits found.
     """
     if M._circuits is not None:
         return M._circuits
@@ -86,8 +81,7 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
             raise CapExceeded(
                 f"U({M.r},{M.n}) has {count} circuits, more than the cap {cap}"
             )
-        found = (from_labels(c) for c in combinations(range(1, M.n + 1), M.r + 1))
-        M._circuits = tuple(sorted(found, key=_sort_key))
+        M._circuits = tuple(kernels.subsets(M.n, M.r + 1).tolist())
         return M._circuits
     found = np.zeros(0, dtype=np.uint64)
     examined = 0
@@ -96,13 +90,10 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
         examined += comb(M.n, size)
         if examined > cap:
             raise CapExceeded(f"circuit enumeration examined more than {cap} subsets")
-        sets = np.array(
-            [from_labels(c) for c in combinations(range(1, M.n + 1), size)],
-            dtype=np.uint64,
-        )
+        sets = kernels.subsets(M.n, size)
         sets = sets[~kernels.contains_any(sets, found)]
         found = np.concatenate([found, sets[M.ranks(sets) < size]])
-    M._circuits = tuple(sorted(found.tolist(), key=_sort_key))
+    M._circuits = tuple(found.tolist())
     return M._circuits
 
 
@@ -154,14 +145,22 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
     return lad
 
 
-def is_cycle(M: Matroid, mask: int) -> tuple[bool, int]:
-    """Whether mask is a cycle of positive nullity, with that nullity.
+def is_cycle(M: Matroid, masks) -> list[tuple[bool, int]]:
+    """For each mask, whether it is a cycle of positive nullity, with that
+    nullity; M.ranks is asked once for the whole batch.
 
     This is the coloop test of M|X: X is a union of circuits iff no element
     of X is a coloop of M|X, that is, iff deleting any one element lowers
     the nullity.  Cycles of nullity l are exactly the level-l ladder members.
     """
-    r = M.ranks([mask] + [mask & ~bit for bit in singletons(mask)])
-    nl = popcount(mask) - int(r[0])
-    # deleting e leaves the rank unchanged iff e is not a coloop of M|X
-    return nl > 0 and bool(np.all(r[1:] == r[0])), nl
+    # X, then X - e for each e (M.ranks refuses X outside E; & keeps this finite)
+    blocks = [[mask, *(mask & ~bit for bit in singletons(mask & full_mask(M.n)))]
+              for mask in masks]
+    ranks = iter(M.ranks([query for block in blocks for query in block]).tolist())
+    out = []
+    for block in blocks:
+        rank, *rest = islice(ranks, len(block))
+        nl = popcount(block[0]) - rank
+        # deleting e leaves the rank unchanged iff e is not a coloop of M|X
+        out.append((nl > 0 and all(r == rank for r in rest), nl))
+    return out

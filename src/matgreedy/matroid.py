@@ -265,8 +265,7 @@ def validate_axioms(M: Matroid, seed: int = 0, samples: int = 4096) -> AxiomRepo
         draws = rng.integers(0, 1 << 63, samples).astype(np.uint64)
         sets = kernels.distinct(draws & np.uint64(full_mask(n)))
         # X, X+a and X+a+b for every sampled X and elements a <= b
-        grow = np.array([0] + [1 << a | 1 << b for b in range(n) for a in range(b + 1)],
-                        dtype=np.uint64)
+        grow = np.concatenate([kernels.subsets(n, size) for size in range(3)])
         read = kernels.distinct((sets[:, None] | grow).ravel())
         read_ranks = M.ranks(read)
 

@@ -9,7 +9,8 @@ whole weights pipeline.
 
 Neither check builds the dual's ladder: its level l is {E - F : F a flat of
 M of rank r - l} (Oxley, Matroid Theory, 2nd ed.), so its e-tilde comes from
-a walk up the flats of M and its d from the largest set of each rank.
+a walk up the flats of M and its d from the largest set of each rank.  A cap
+(DEFAULT_SUBSET_CAP by default) bounds each dual side before its work.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _identity_report(n: int, left, right) -> dict:
     }
 
 
-def dual_greedy_top_down(M: Matroid, cap: int | None = None) -> tuple[int, ...]:
+def dual_greedy_top_down(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
     """greedy_top_down(M.dual())[0], walking up the flats of M.
 
     E - G lies in E - F iff F lies in G, so the dual's top-down sweep starts
@@ -47,15 +48,15 @@ def dual_greedy_top_down(M: Matroid, cap: int | None = None) -> tuple[int, ...]:
     keeps the largest of these covers; e-tilde(M*)_l = n - (its size at rank
     r - l), closing sets through M's circuits.  cap bounds the distinct sets
     F + e of a rank, before closing, and the enumeration of M's circuits if
-    they are not cached yet (DEFAULT_SUBSET_CAP if cap is None).
+    they are not cached yet.
     """
-    circs = np.array(circuits(M, DEFAULT_SUBSET_CAP if cap is None else cap), dtype=np.uint64)
+    circs = np.array(circuits(M, cap), dtype=np.uint64)
     bits = np.uint64(1) << np.arange(M.n, dtype=np.uint64)
     frontier = kernels.circuit_closures(np.zeros(1, dtype=np.uint64), circs)
     sizes, found = [popcount(int(frontier[0]))], [np.zeros(0, dtype=np.uint64)]
     for k in range(1, M.full_rank + 1):
         grown = unions(frontier, bits)
-        if cap is not None and grown.size > cap:
+        if grown.size > cap:
             raise CapExceeded(
                 f"the flats walk at rank {k} needs {grown.size} closures, more than {cap}"
             )
@@ -70,11 +71,11 @@ def dual_greedy_top_down(M: Matroid, cap: int | None = None) -> tuple[int, ...]:
     return tuple(M.n - size for size in reversed(sizes[:-1]))
 
 
-def dual_hamming_weights(M: Matroid, cap: int | None = None) -> tuple[int, ...]:
+def dual_hamming_weights(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
     """hamming_weights(M.dual()): d(M*)_l = n - (the largest size of a set of
     rank r - l), read off the ranks of all 2^n subsets, which cap bounds."""
     n, r = M.n, M.full_rank
-    if cap is not None and 1 << n > cap:
+    if 1 << n > cap:
         raise CapExceeded(f"the largest flats need all 2^{n} subsets, more than {cap}")
     largest = np.zeros(r + 1, dtype=np.int64)
     step = 1 << 16
@@ -86,14 +87,14 @@ def dual_hamming_weights(M: Matroid, cap: int | None = None) -> tuple[int, ...]:
     return tuple(n - int(largest[r - l]) for l in range(1, r + 1))
 
 
-def check_wei_greedy(M: Matroid, cap: int | None = None) -> dict:
+def check_wei_greedy(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> dict:
     """Bottom-up weights of M against top-down weights of the dual:
     {e_i} and {n+1 - dual e-tilde_j} must partition {1..n}."""
     e, _ = greedy_bottom_up(M)
     return _identity_report(M.n, list(e), list(dual_greedy_top_down(M, cap)))
 
 
-def check_wei_classical(M: Matroid, cap: int | None = None) -> dict:
+def check_wei_classical(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> dict:
     """Same partition identity for the generalized Hamming weights."""
     d = hamming_weights(M)
     return _identity_report(M.n, list(d), list(dual_hamming_weights(M, cap)))

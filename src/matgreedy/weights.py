@@ -25,38 +25,42 @@ def hamming_weights(M: Matroid) -> tuple[int, ...]:
     return tuple(popcount(level[0]) for level in lad.levels)
 
 
+def _lightest(level) -> list[int]:
+    """Members of least cardinality of a level sorted by (cardinality, mask)."""
+    return [m for m in level if popcount(m) == popcount(level[0])]
+
+
+def _step(frontier, level, follows) -> dict[int, int]:
+    """One greedy step: the level members of least cardinality that follow
+    some frontier member, in level order, each mapped to the first frontier
+    member it follows."""
+    best, back = None, {}
+    for mu in level:  # sorted by (cardinality, mask)
+        if best is not None and popcount(mu) > best:
+            break
+        for sigma in frontier:
+            if follows(sigma, mu):
+                best, back[mu] = popcount(mu), sigma
+                break
+    require(back, "every ladder member links to the next level")
+    return back
+
+
 def _frontier(levels, follows) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sweep over levels in the given order; follows(prev, cur) says whether
     cur may come after prev in a chain.  Returns the profile in sweep order
     and a witness chain from the last level back to the first."""
     if not levels:
         return (), ()
-    first = levels[0]
-    frontier = [m for m in first if popcount(m) == popcount(first[0])]
-    profile = [popcount(first[0])]
-    links: list[dict[int, int]] = []
+    frontier, links = _lightest(levels[0]), []
     for level in levels[1:]:
-        best: int | None = None
-        achievers: list[int] = []
-        back: dict[int, int] = {}
-        for mu in level:  # sorted by (cardinality, mask)
-            card = popcount(mu)
-            if best is not None and card > best:
-                break
-            for sigma in frontier:
-                if follows(sigma, mu):
-                    best = card
-                    achievers.append(mu)
-                    back[mu] = sigma
-                    break
-        require(best is not None, "every ladder member links to the next level")
-        profile.append(best)
-        frontier = achievers
-        links.append(back)
+        links.append(_step(frontier, level, follows))
+        frontier = list(links[-1])
     chain = [min(frontier)]
     for back in reversed(links):
         chain.append(back[chain[-1]])
-    return tuple(profile), tuple(chain)
+    # every member a step keeps has the step's least cardinality
+    return tuple(popcount(m) for m in reversed(chain)), tuple(chain)
 
 
 def greedy_bottom_up(M: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -81,27 +85,13 @@ def greedy_cez(M: Matroid) -> tuple[tuple[int, ...], tuple[tuple[int | None, int
     Unlike the bottom-up sweep there is no chain memory, which is why the
     vector can fail to be monotone.  Witnesses are (tau, mu) pairs.
     """
-    lad = ladder(M)
-    if lad.t == 0:
-        return (), ()
-    d = hamming_weights(M)
-    level1 = lad.level(1)
-    g = [d[0]]
-    pairs: list[tuple[int | None, int]] = [(None, level1[0])]
-    for r in range(2, lad.t + 1):
-        taus = [t_ for t_ in lad.level(r - 1) if popcount(t_) == d[r - 2]]
-        witness: tuple[int, int] | None = None
-        for mu in lad.level(r):  # ascending (cardinality, mask): first hit is minimal
-            for tau in taus:
-                if is_subset(tau, mu):
-                    witness = (tau, mu)
-                    break
-            if witness is not None:
-                break
-        require(witness is not None, "no member contains a minimum-cardinality one below")
-        g.append(popcount(witness[1]))
-        pairs.append(witness)
-    return tuple(g), tuple(pairs)
+    levels = ladder(M).levels
+    pairs: list[tuple[int | None, int]] = [(None, levels[0][0])] if levels else []
+    for below, level in zip(levels, levels[1:]):
+        # the step's first member is the least of its cardinality
+        mu, tau = next(iter(_step(_lightest(below), level, is_subset).items()))
+        pairs.append((tau, mu))
+    return tuple(popcount(mu) for _, mu in pairs), tuple(pairs)
 
 
 def is_chained(M: Matroid) -> tuple[bool, tuple[int, ...] | None]:
@@ -206,6 +196,6 @@ def weight_report(M: Matroid) -> WeightReport:
         chained=e == d,
     )
     report.validate()
-    for level_idx, mask in enumerate(chain_e, start=1):
-        require(is_cycle(M, mask) == (True, level_idx), f"{to_labels(mask)} is no cycle")
+    for level_idx, (mask, verdict) in enumerate(zip(chain_e, is_cycle(M, chain_e)), start=1):
+        require(verdict == (True, level_idx), f"{to_labels(mask)} is no cycle")
     return report

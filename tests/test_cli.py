@@ -441,6 +441,7 @@ flag_values = (
     st.integers(-2, DEFAULT_SUBSET_CAP).map(str)
     | st.sampled_from(["json", "table", "xml", "abc", "", "1.5", "0", "-1", "1|1,2"])
     | st.text(max_size=6)
+    | st.text(alphabet="a1-|\n\t ", max_size=4)
 ).filter(_not_help)
 flag_names = st.sampled_from(
     ["--format", "--cap-subsets", "--cap-subspaces", "--seed", "--chain", "--values",
@@ -463,9 +464,12 @@ flag_groups = st.tuples(flag_names, st.lists(flag_values, max_size=1)).map(
 @example(command="weights", inputs=[], flags=[])
 @example(command="validate", inputs=[M23], flags=[["--seed", "-1"]])
 @example(command="validate", inputs=[M23], flags=[["--cap-subsets", "0"], ["--seed", "1"]])
+@example(command="weights", inputs=[M23], flags=[["a\nb"]])
+@example(command="weights", inputs=[], flags=[["--", "a\nb"]])
 def test_exit_contract_on_any_flags(command, inputs, flags):
     # every flag set ends in exit 0, 1, 2 or 3 with no exception, SystemExit
-    # included, escaping main; a usage error is an input error, not a usage dump
+    # included, escaping main; a usage error is an input error, not a usage
+    # dump, on one stderr line whatever the tokens hold
     argv = [command, *inputs, *(token for group in flags for token in group)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -476,6 +480,7 @@ def test_exit_contract_on_any_flags(command, inputs, flags):
     assert status in (0, 1, 2, 3)
     if status == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("input error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     assert "usage:" not in err.getvalue()
 
 

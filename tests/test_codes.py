@@ -293,7 +293,7 @@ def test_greedy_subcode_supports_are_ladder_members():
             sub = shortened_subcode(C, mask)
             assert sub.nrows == level
             assert support(sub.data) == mask
-            assert is_cycle(M, mask) == (True, level)
+            assert is_cycle(M, [mask]) == [(True, level)]
 
 
 def test_d_computing_subcode_supports_are_minimal_cycles():

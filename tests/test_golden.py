@@ -1,5 +1,6 @@
 """Golden output: the sha256 of (exit code, stdout) of every fixture under
-nine command configurations, run in-process through the console entry point.
+nine command configurations, run in-process through the console entry point,
+and the sha256 of the --help text of the parser and of each command.
 
 A change that should keep the CLI's output must pass this file unchanged;
 a change that alters output on purpose updates the hashes and says why.
@@ -52,6 +53,28 @@ GOLDEN = {
     ("uniform_2_4.json", "report"): "9dda8055f3d08796d53675bde293696e6ec9b4f644a8abf7435e5c0f95d649ee",
     ("uniform_2_4.json", "validate"): "5810f6af7220316e93b08404333c8532e7ce1264fa24efc2d0e720c63163304e",
 }
+
+
+HELP = {
+    "": "287da2c7812a3616b20cbe33a54223b90b82d75e23c57bae7814003c0f07fce1",
+    "weights": "c873b0e508d0d058c2392ae29ce07af7ee0475ac468b46265d5f973bf7c1b1a1",
+    "betti": "4749b41d501d35d5c88abaf105312943d3d9bfd464b6c963e74f7d71ebbed246",
+    "strands": "eec06a9ead749d51b4dce7707365e2341f1db1d3d566385fb928d45a7f356c2d",
+    "wei": "4be12a59bd6174841d60eca712e2a187e4670f9dfb6ab4a869dc42fb4e752395",
+    "chained": "39600df5a454e8eaffa73cfee77a005fc889a0260d8560c4979ede2c47517311",
+    "report": "3594fb6dea523614166943d21b18d5baf7bcba6b2f018f5c3c1b2653e8e01d67",
+    "validate": "026a5886109e07453a875b28fa5d9466a67dbfb60d18121265a273b170aa0a3a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_golden_help(capsys, monkeypatch, command):
+    # argparse wraps help text to the terminal width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP[command]
 
 
 @pytest.mark.parametrize("fixture, config", sorted(GOLDEN))

@@ -3,6 +3,8 @@ against the exhaustive-scan oracle on a seeded corpus of larger matroids."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,29 @@ def greedy_rank_reference(mask: int, circs: list[int], n: int) -> int:
 
 def by_size(masks) -> list[int]:
     return sorted(masks, key=lambda m: (popcount(m), m))
+
+
+def combination_masks(n: int, size: int) -> list[int]:
+    return sorted(sum(1 << (i - 1) for i in c) for c in combinations(range(1, n + 1), size))
+
+
+def test_subsets_equal_sorted_combinations():
+    for n in range(11):
+        for size in range(n + 2):
+            got = kernels.subsets(n, size)
+            assert got.dtype == np.uint64
+            assert got.tolist() == combination_masks(n, size), (n, size)
+    # bit 63 is the label 64; past n/2 the subsets are built as complements
+    for size in (0, 1, 2, 62, 63, 64):
+        assert kernels.subsets(64, size).tolist() == combination_masks(64, size)
+
+
+def test_popcounts_full_width_and_plain_lists():
+    got = kernels.popcounts(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert got.dtype == np.int64 and got.tolist() == [0, 64]
+    assert kernels.popcounts([0, 2**64 - 1, 5, 1 << 63]).tolist() == [0, 64, 2, 1]
+    masks = np.random.default_rng(64).integers(0, 2**64, 1000, dtype=np.uint64)
+    assert kernels.popcounts(masks).tolist() == [popcount(m) for m in masks.tolist()]
 
 
 def u64(masks) -> np.ndarray:

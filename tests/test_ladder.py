@@ -129,9 +129,13 @@ def test_each_level_member_is_union_of_lower_and_circuit(small_corpus):
 
 
 def test_is_cycle_fixture_cases(ternary84):
-    assert is_cycle(ternary84, from_labels([1, 2])) == (True, 1)
-    assert is_cycle(ternary84, 0) == (False, 0)
-    assert is_cycle(ternary84, from_labels([1, 2, 3])) == (False, 1)
+    masks = [from_labels([1, 2]), 0, from_labels([1, 2, 3])]
+    assert is_cycle(ternary84, masks) == [(True, 1), (False, 0), (False, 1)]
+    assert is_cycle(ternary84, []) == []
+    # masks outside E are refused, a negative one included
+    for bad in (-1, 1 << 8):
+        with pytest.raises(InputError):
+            is_cycle(ternary84, [bad])
 
 
 def test_is_cycle_matches_ladder_membership(small_corpus, monkeypatch):
@@ -146,11 +150,11 @@ def test_is_cycle_matches_ladder_membership(small_corpus, monkeypatch):
         calls = []
         ranks = M.ranks
         monkeypatch.setattr(M, "ranks", lambda masks: calls.append(1) or ranks(masks))
-        for mask in range(1 << M.n):
-            verdict, nl = is_cycle(M, mask)
+        verdicts = is_cycle(M, range(1 << M.n))
+        for mask, (verdict, nl) in enumerate(verdicts):
             assert verdict == lad.contains(nl, mask)
-        # one batched rank query per mask
-        assert len(calls) == 1 << M.n
+        # one rank query for the whole batch
+        assert len(calls) == 1
 
 
 def covers(M, l: int, rho: int) -> tuple[int, ...]:

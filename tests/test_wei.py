@@ -279,6 +279,19 @@ def test_flats_walk_cap_trips_before_the_batch(m23, monkeypatch):
     assert f"needs {cap + 1} closures" in str(exc.value)
 
 
+def test_classical_check_has_a_default_cap(m23, monkeypatch):
+    # 2^23 subsets exceed DEFAULT_SUBSET_CAP = 5,000,000; the refusal comes
+    # before any rank query
+    ladder(m23)
+
+    def no_ranks(masks):
+        raise AssertionError("rank query before the cap check")
+
+    monkeypatch.setattr(m23, "ranks", no_ranks)
+    with pytest.raises(CapExceeded, match="2\\^23"):
+        check_wei_classical(m23)
+
+
 def test_rank_scan_cap_counts_subsets(ternary84):
     with pytest.raises(CapExceeded, match="2\\^8"):
         dual_hamming_weights(ternary84, cap=255)

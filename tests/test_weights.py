@@ -177,17 +177,13 @@ def test_report_invariants_corpus(small_corpus):
 def test_witnesses_are_cycles_of_right_level(small_corpus):
     for M in small_corpus:
         report = weight_report(M)
-        for level, mask in enumerate(report.witness_e, start=1):
-            assert is_cycle(M, mask) == (True, level)
-        for level, mask in enumerate(report.witness_e_tilde, start=1):
-            assert is_cycle(M, mask) == (True, level)
-        for level, mask in enumerate(report.witness_d, start=1):
-            assert is_cycle(M, mask) == (True, level)
-        for level, (tau, mu) in enumerate(report.witness_g, start=1):
-            assert is_cycle(M, mu) == (True, level)
-            if tau is not None:
-                assert is_cycle(M, tau) == (True, level - 1)
-                assert is_subset(tau, mu)
+        levels = [(True, level) for level in range(1, report.t + 1)]
+        for witness in (report.witness_e, report.witness_e_tilde, report.witness_d):
+            assert is_cycle(M, witness) == levels
+        assert is_cycle(M, [mu for _, mu in report.witness_g]) == levels
+        taus = [tau for tau, _ in report.witness_g[1:]]
+        assert is_cycle(M, taus) == levels[:-1]
+        assert all(is_subset(tau, mu) for tau, mu in report.witness_g[1:])
 
 
 def test_chainedness_fixture_cases(ternary84, m23):
