@@ -12,7 +12,7 @@ from .betti import (
 )
 from .codes import LinearCode, subcode_weights
 from .errors import CapExceeded, InputError, InvariantError, MatGreedyError
-from .gfp import FieldMatrix, PrimeField, format_matrix, parse_matrix
+from .gfp import FieldMatrix, PrimeField, parse_matrix
 from .ladder import CycleLadder, circuits, is_cycle, ladder
 from .matroid import (
     Matroid,
@@ -54,7 +54,6 @@ __all__ = [
     "check_wei_classical",
     "check_wei_greedy",
     "circuits",
-    "format_matrix",
     "from_circuits",
     "from_descriptor",
     "from_generator",

@@ -137,15 +137,13 @@ def betti_values(M: Matroid) -> BettiDiagram:
 def strand_nonzero(M: Matroid, l: int, rho: int, mu: int) -> bool:
     """Whether the component map at step l between multidegrees rho and mu is
     nonzero: rho a ladder member at level l-1 (the empty set when l = 1),
-    mu one at level l, and rho strictly contained in mu."""
-    if l < 1:
-        return False
+    mu one at level l, and rho contained in mu (strictly, as levels differ)."""
     lad = ladder(M)
-    if l > lad.t or not lad.contains(l, mu):
+    if not 1 <= l <= lad.t or mu not in lad.levels[l - 1]:
         return False
     if l == 1:
         return rho == 0
-    return lad.contains(l - 1, rho) and rho != mu and is_subset(rho, mu)
+    return rho in lad.levels[l - 2] and is_subset(rho, mu)
 
 
 def strand_check(M: Matroid, chain) -> bool:

@@ -139,14 +139,16 @@ def _cmd_wei(M: Matroid, config: RunConfig, code=None) -> dict:
     return doc
 
 
-def _cmd_chained(M: Matroid, config: RunConfig, code=None) -> dict:
-    verdict, chain = is_chained(M)
+def _chained_doc(verdict: bool, chain) -> dict:
+    """The verdict, and the chain computing every d_i when chained."""
     return {
         "chained": verdict,
-        "witness": None
-        if chain is None
-        else [list(masks.to_labels(m)) for m in chain],
+        "witness": [list(masks.to_labels(m)) for m in chain] if verdict else None,
     }
+
+
+def _cmd_chained(M: Matroid, config: RunConfig, code=None) -> dict:
+    return _chained_doc(*is_chained(M))
 
 
 def _cmd_validate(M: Matroid, config: RunConfig, code: codes_mod.LinearCode | None) -> dict:
@@ -178,10 +180,11 @@ REPORT_WEI_CAP = 300_000
 
 
 def _cmd_report(M: Matroid, config: RunConfig, code=None) -> dict:
+    weights = weight_report(M)
     doc = {
-        "weights": _cmd_weights(M, config),
+        "weights": weights.to_json_dict(),
         "betti": _cmd_betti(M, config),
-        "chained": _cmd_chained(M, config),
+        "chained": _chained_doc(weights.chained, weights.witness_e),
         "shape": betti_mod.resolution_shape(M).to_json_dict(),
     }
     if config.chain:
@@ -234,8 +237,9 @@ def run(config: RunConfig) -> tuple[int, str]:
         if config.command != "validate":
             build_ladder(M, cap=config.cap_subsets)
         doc = command.handler(M, config, code)
-        if config.dump_ladder:
-            doc["ladder"] = build_ladder(M).to_json_dict()
+        # validate builds no ladder once the axioms fail: its report stands alone
+        if config.dump_ladder and doc.get("axioms", {"ok": True})["ok"]:
+            doc["ladder"] = build_ladder(M, cap=config.cap_subsets).to_json_dict()
     except InputError as exc:
         return 1, f"input error: {exc}\n"
     except CapExceeded as exc:

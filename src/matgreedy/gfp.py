@@ -162,10 +162,3 @@ def parse_matrix(text: str) -> FieldMatrix:
     except ValueError as exc:
         raise InputError(f"bad matrix size {rows} x {cols}") from exc
     return FieldMatrix(field, data)
-
-
-def format_matrix(m: FieldMatrix) -> str:
-    lines = [f"{m.p} {m.nrows} {m.ncols}"]
-    for i in range(m.nrows):
-        lines.append(" ".join(str(int(x)) for x in m.data[i]))
-    return "\n".join(lines) + "\n"

@@ -13,14 +13,13 @@ are computed as whole arrays of masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from math import comb
 
 import numpy as np
 
 from . import kernels
-from .errors import CapExceeded, InputError, InvariantError
+from .errors import CapExceeded, InvariantError
 from .masks import full_mask, popcount, singletons, to_labels
 from .matroid import Matroid, UniformMatroid
 
@@ -43,22 +42,11 @@ class CycleLadder:
     """levels[i-1] is N_i, the cycles of nullity i sorted by (cardinality,
     mask), for i in 1..t."""
 
-    t: int
     levels: tuple[tuple[int, ...], ...]
 
-    def level(self, i: int) -> tuple[int, ...]:
-        if not 1 <= i <= self.t:
-            raise InputError(f"ladder level {i} outside 1..{self.t}")
-        return self.levels[i - 1]
-
-    @cached_property
-    def _level_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(lv) for lv in self.levels)
-
-    def contains(self, i: int, mask: int) -> bool:
-        if not 1 <= i <= self.t:
-            return False
-        return mask in self._level_sets[i - 1]
+    @property
+    def t(self) -> int:
+        return len(self.levels)
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,7 +128,7 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
                 f"ladder level {t} is not the single set E minus the coloops; "
                 "the input is not a matroid"
             )
-    lad = CycleLadder(t=t, levels=tuple(levels))
+    lad = CycleLadder(tuple(levels))
     M._ladder = lad
     return lad
 

@@ -146,15 +146,19 @@ class CircuitMatroid(Matroid):
                 raise InputError("the empty set cannot be a circuit")
             if c & ~top:
                 raise InputError("circuit extends beyond the ground set")
-        for i, small in enumerate(circs):
-            for big in circs[i + 1 :]:
-                if small != big and is_subset(small, big):
-                    raise InputError(
-                        f"circuit list is not an antichain: "
-                        f"{to_labels(small)} contained in {to_labels(big)}"
-                    )
-        self._circuits = tuple(circs)
         self._circ_arr = np.array(circs, dtype=np.uint64)
+        # every circuit contains itself; one that contains more breaks the antichain
+        ones = np.ones(len(circs), dtype=np.int64)
+        bigs = self._circ_arr[kernels.subset_sums(self._circ_arr, self._circ_arr, ones) > 1]
+        if bigs.size:
+            # name the first nested pair in (cardinality, mask) order
+            small, big = next((a, b) for a in circs for b in bigs.tolist()
+                              if a != b and is_subset(a, b))
+            raise InputError(
+                f"circuit list is not an antichain: "
+                f"{to_labels(small)} contained in {to_labels(big)}"
+            )
+        self._circuits = tuple(circs)
 
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
         return kernels.circuit_ranks(masks, self._circ_arr, self.n)

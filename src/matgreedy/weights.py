@@ -95,30 +95,18 @@ def greedy_cez(M: Matroid) -> tuple[tuple[int, ...], tuple[tuple[int | None, int
 
 
 def is_chained(M: Matroid) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether one chain computes every d_i; witness chain when it does.
-
-    Equivalent to e == d and to e-tilde == d (both directions of the sweep
-    reach the same verdict, asserted here).  A chained matroid also has
-    g == d; the converse can fail, so g is only checked one way.
-    """
-    d = hamming_weights(M)
-    e, chain = greedy_bottom_up(M)
-    et, _ = greedy_top_down(M)
-    chained = e == d
-    require(chained == (et == d), "bottom-up and top-down chainedness disagree")
-    if chained:
-        g, _ = greedy_cez(M)
-        require(g == d, "chained matroid must have CEZ weights equal to d")
-        return True, chain
-    return False, None
+    """Whether one chain computes every d_i, read off the weight report;
+    the witness chain (the bottom-up one) when it does."""
+    report = weight_report(M)
+    return report.chained, report.witness_e if report.chained else None
 
 
 @dataclass(frozen=True)
 class WeightReport:
-    """All four weight vectors with witnesses and the chainedness verdict."""
+    """All four weight vectors with witnesses; t and the chainedness verdict
+    are read off them."""
 
     n: int
-    t: int
     d: tuple[int, ...]
     e: tuple[int, ...]
     e_tilde: tuple[int, ...]
@@ -127,13 +115,20 @@ class WeightReport:
     witness_e: tuple[int, ...]
     witness_e_tilde: tuple[int, ...]
     witness_g: tuple[tuple[int | None, int], ...]
-    chained: bool
+
+    @property
+    def t(self) -> int:
+        return len(self.d)
+
+    @property
+    def chained(self) -> bool:
+        """One chain computes every d_i: e == d, equivalently e-tilde == d."""
+        return self.e == self.d
 
     def validate(self) -> None:
         """Raise InvariantError unless the relations of every matroid hold."""
         for name, vec in (("d", self.d), ("e", self.e), ("e_tilde", self.e_tilde)):
             require(all(a < b for a, b in zip(vec, vec[1:])), f"{name} must increase: {vec}")
-        require(len(self.d) == self.t, f"d has {len(self.d)} entries, want t = {self.t}")
         if self.t >= 1:
             require(self.e[0] == self.g[0] == self.d[0], "e_1, g_1 and d_1 must agree")
             require(self.e_tilde[-1] == self.d[-1], "e-tilde_t and d_t must agree")
@@ -148,7 +143,11 @@ class WeightReport:
                      [pair[1] for pair in self.witness_g])
         sizes = [tuple(popcount(m) for m in w) for w in witnesses]
         require(sizes == [self.e, self.e_tilde, self.d, self.g], "witness sizes must match")
-        require(self.chained == (self.e == self.d), "chained must mean e == d")
+        require(self.chained == (self.e_tilde == self.d),
+                "bottom-up and top-down chainedness disagree")
+        # a chained matroid has g == d; the converse can fail
+        require(not self.chained or self.g == self.d,
+                "chained matroid must have CEZ weights equal to d")
 
     def to_json_dict(self) -> dict:
         def labels(mask: int) -> list[int]:
@@ -184,7 +183,6 @@ def weight_report(M: Matroid) -> WeightReport:
     witness_d = tuple(level[0] for level in lad.levels)
     report = WeightReport(
         n=M.n,
-        t=lad.t,
         d=d,
         e=e,
         e_tilde=et,
@@ -193,7 +191,6 @@ def weight_report(M: Matroid) -> WeightReport:
         witness_e=chain_e,
         witness_e_tilde=chain_et,
         witness_g=pairs,
-        chained=e == d,
     )
     report.validate()
     for level_idx, (mask, verdict) in enumerate(zip(chain_e, is_cycle(M, chain_e)), start=1):

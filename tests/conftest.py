@@ -61,6 +61,15 @@ def _labels_to_mask(labels) -> int:
     return mask
 
 
+def format_matrix(m: FieldMatrix) -> str:
+    """The text form that parse_matrix reads: a "p rows cols" header line,
+    then one line of entries per row."""
+    lines = [f"{m.p} {m.nrows} {m.ncols}"]
+    for i in range(m.nrows):
+        lines.append(" ".join(str(int(x)) for x in m.data[i]))
+    return "\n".join(lines) + "\n"
+
+
 def random_field_matrix(rng: np.random.Generator, p: int, rows: int, cols: int) -> FieldMatrix:
     return FieldMatrix(p, rng.integers(0, p, size=(rows, cols)))
 

@@ -52,11 +52,10 @@ def bruteforce_ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
     """Minimal nullity-i sets by exhaustive scan of all 2^n subsets."""
     if (1 << M.n) > cap:
         raise CapExceeded(f"2^{M.n} subsets exceed the cap {cap}")
-    t = M.corank
     masks = np.arange(1 << M.n, dtype=np.uint64)
     nullity = popcounts(masks) - M.ranks(masks)
     return CycleLadder(
-        t=t, levels=tuple(_minimal_members(masks[nullity == i]) for i in range(1, t + 1))
+        tuple(_minimal_members(masks[nullity == i]) for i in range(1, M.corank + 1))
     )
 
 
@@ -76,9 +75,9 @@ def chains_bruteforce(
     work = 0
     adj: dict[tuple[int, int], list[int]] = {}
     for l in range(1, lad.t):
-        for sigma in lad.level(l):
+        for sigma in lad.levels[l - 1]:
             ups = []
-            for mu in lad.level(l + 1):
+            for mu in lad.levels[l]:
                 work += 1
                 if work > cap:
                     raise CapExceeded(f"chain search exceeded {cap} subset tests")
@@ -86,11 +85,11 @@ def chains_bruteforce(
                     ups.append(mu)
             adj[(l, sigma)] = ups
     suffix: dict[int, tuple[int, ...]] = {
-        sigma: (popcount(sigma),) for sigma in lad.level(lad.t)
+        sigma: (popcount(sigma),) for sigma in lad.levels[-1]
     }
     for l in range(lad.t - 1, 0, -1):
         nxt: dict[int, tuple[int, ...]] = {}
-        for sigma in lad.level(l):
+        for sigma in lad.levels[l - 1]:
             ups = adj[(l, sigma)]
             assert ups, "every ladder member has a cover"
             nxt[sigma] = (popcount(sigma),) + min(suffix[mu] for mu in ups)
@@ -101,14 +100,14 @@ def chains_bruteforce(
         return tuple(reversed(profile))
 
     prefix: dict[int, tuple[int, ...]] = {
-        sigma: (popcount(sigma),) for sigma in lad.level(1)
+        sigma: (popcount(sigma),) for sigma in lad.levels[0]
     }
     for l in range(2, lad.t + 1):
         nxt = {}
-        for mu in lad.level(l):
+        for mu in lad.levels[l - 1]:
             below = [
                 prefix[tau]
-                for tau in lad.level(l - 1)
+                for tau in lad.levels[l - 2]
                 if is_subset(tau, mu)
             ]
             assert below, "every ladder member contains a lower one"

@@ -96,7 +96,7 @@ def delta_chain(M: Matroid, chain) -> tuple[int, ...]:
     if len(chain) != lad.t:
         raise InputError(f"chain length {len(chain)} differs from corank {lad.t}")
     for i, mask in enumerate(chain, start=1):
-        if not lad.contains(i, mask):
+        if mask not in lad.levels[i - 1]:
             raise InputError(f"{to_labels(mask)} is not a ladder member at level {i}")
     for a, b in zip(chain, chain[1:]):
         if not (is_subset(a, b) and a != b):

@@ -236,7 +236,7 @@ def test_criterion_07_betti_support_theorem():
             for i in range(0, lad.t + 1):
                 checked += 1
                 homology_nonzero = hom.get(popcount(mask) - i - 1, 0) > 0
-                ladder_member = (mask == 0) if i == 0 else lad.contains(i, mask)
+                ladder_member = (mask == 0) if i == 0 else mask in lad.levels[i - 1]
                 if homology_nonzero != ladder_member:
                     mismatches.append((idx, i, mask))
     ok = not mismatches

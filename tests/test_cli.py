@@ -16,9 +16,9 @@ from matgreedy import betti as betti_mod
 from matgreedy.cli import COMMANDS, RunConfig, main, run
 from matgreedy.codes import LinearCode
 from matgreedy.errors import InputError
-from matgreedy.gfp import FieldMatrix, format_matrix
+from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import DEFAULT_SUBSET_CAP
-from tests.conftest import FIXTURES, random_code
+from tests.conftest import FIXTURES, format_matrix, random_code
 from tests.test_betti import hilbert_numerator_order
 
 TERNARY84 = str(FIXTURES / "ternary84.json")
@@ -176,6 +176,41 @@ def test_dump_ladder_flag():
     assert status == 0
     assert [len(lv) for lv in doc["ladder"]["levels"]] == [7, 14, 7, 1]
     assert doc["ladder"]["levels"][0][0] == [1, 2]
+
+
+def test_chained_refuses_what_weights_refuses(tmp_path):
+    # not a matroid ({1,2,3,4} and {1,2,5} eliminate to no circuit); the
+    # verdict is read off the weight report, whose witness guard refuses it
+    path = tmp_path / "circuits.json"
+    path.write_text('{"type": "circuits", "n": 5, "circuits": [[1, 2, 3, 4], [1, 2, 5]]}')
+    status, out = run(RunConfig("chained", str(path)))
+    assert (status, out) == run(RunConfig("weights", str(path)))
+    assert status == 2 and out.startswith("internal invariant failure:")
+
+
+def test_validate_dump_ladder_after_failed_axioms(tmp_path):
+    # a failed axiom check builds no ladder: the report stands alone, as
+    # without --dump-ladder, whatever the cap
+    path = tmp_path / "circuits.json"
+    for circs, flags in (([[1, 2], [3, 4], [1, 3]], {}), ([[1, 2], [1, 3]], {"cap_subsets": 1})):
+        path.write_text(json.dumps({"type": "circuits", "n": max(map(max, circs)),
+                                    "circuits": circs}))
+        plain = run(RunConfig("validate", str(path), **flags))
+        assert plain[0] == 2 and not json.loads(plain[1])["axioms"]["ok"]
+        assert run(RunConfig("validate", str(path), dump_ladder=True, **flags)) == plain
+
+
+def test_report_builds_one_weight_report(monkeypatch):
+    # only the weight sweeps call greedy_top_down
+    import matgreedy.weights as weights_mod
+
+    calls = []
+    sweep = weights_mod.greedy_top_down
+    monkeypatch.setattr(weights_mod, "greedy_top_down", lambda M: calls.append(1) or sweep(M))
+    for path in (TERNARY84, U24, CODE8, M23):
+        calls.clear()
+        assert run(RunConfig("report", path))[0] == 0
+        assert len(calls) == 1, path
 
 
 def test_output_byte_stable():

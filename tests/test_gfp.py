@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from matgreedy.errors import InputError
-from matgreedy.gfp import FieldMatrix, PrimeField, format_matrix, parse_matrix
+from matgreedy.gfp import FieldMatrix, PrimeField, parse_matrix
 from matgreedy.masks import from_labels
-from tests.conftest import TERNARY84_GENERATOR_ROWS
+from tests.conftest import TERNARY84_GENERATOR_ROWS, format_matrix
 from tests.paper_oracle import columns
 
 

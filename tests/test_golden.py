@@ -1,6 +1,8 @@
 """Golden output: the sha256 of (exit code, stdout) of every fixture under
-nine command configurations, run in-process through the console entry point,
-and the sha256 of the --help text of the parser and of each command.
+twelve command configurations, run in-process through the console entry
+point, and the sha256 of the --help text of the parser and of each command.
+In a configuration, the token @e stands for the fixture's bottom-up witness
+chain e, written as a --chain argument.
 
 A change that should keep the CLI's output must pass this file unchanged;
 a change that alters output on purpose updates the hashes and says why.
@@ -12,7 +14,9 @@ import hashlib
 
 import pytest
 
-from matgreedy.cli import main
+from matgreedy.cli import _load_input, main
+from matgreedy.masks import to_labels
+from matgreedy.weights import weight_report
 from tests.conftest import FIXTURES
 
 GOLDEN = {
@@ -52,6 +56,18 @@ GOLDEN = {
     ("uniform_2_4.json", "wei"): "9d2a6450a52e491a2b372c0413475c5784bb58ff664deab3e7392e34e8a5a63b",
     ("uniform_2_4.json", "report"): "9dda8055f3d08796d53675bde293696e6ec9b4f644a8abf7435e5c0f95d649ee",
     ("uniform_2_4.json", "validate"): "5810f6af7220316e93b08404333c8532e7ce1264fa24efc2d0e720c63163304e",
+    ("m23.json", "strands --chain @e"): "def3541be1b4f6fdec2e88b352513cab99c7f8e9f50dbbc731539d2afd49cac3",
+    ("m23.json", "report --chain @e"): "a4b463daec0629fe5fdeec97f09fc0d5c9b2e458036fd6f0e993bceb9ddff940",
+    ("m23.json", "validate --dump-ladder"): "c059dab7c66f20f13cc85a9f6a07312d924abda75cd17e3032692a74424910dd",
+    ("ternary84.json", "strands --chain @e"): "3a10bf561efab7f5c234297274b2132776b5a736728f2a62acfd554eb0c4b1ff",
+    ("ternary84.json", "report --chain @e"): "6933bac10cff40182ca3468065d5b9092bd1ce244e9c1010e35be9a1a23b7ba5",
+    ("ternary84.json", "validate --dump-ladder"): "8915291a76e18b61947d801f9376cb49d362883faeeef2d1bed8971e7773dd44",
+    ("ternary84_code.txt", "strands --chain @e"): "3a10bf561efab7f5c234297274b2132776b5a736728f2a62acfd554eb0c4b1ff",
+    ("ternary84_code.txt", "report --chain @e"): "6933bac10cff40182ca3468065d5b9092bd1ce244e9c1010e35be9a1a23b7ba5",
+    ("ternary84_code.txt", "validate --dump-ladder"): "877a1c603e90b15133e1151edd5be0af894342b86bd2bb19a90686494e7b0cf7",
+    ("uniform_2_4.json", "strands --chain @e"): "0d5b9854c887a7430cf984c2700eeb11257ee6a20920e14e2071b66c90761d58",
+    ("uniform_2_4.json", "report --chain @e"): "1a14a20cb09e4305c511cb84a93fcb72fdbe365b1dff8be3b5465feba3df9433",
+    ("uniform_2_4.json", "validate --dump-ladder"): "d1ff1e5bd26029f8080d2aa0191bece3829899e56757f6c7ffbc806ad530f427",
 }
 
 
@@ -80,6 +96,12 @@ def test_golden_help(capsys, monkeypatch, command):
 @pytest.mark.parametrize("fixture, config", sorted(GOLDEN))
 def test_golden_output(capsys, fixture, config):
     command, *flags = config.split()
+    if "@e" in flags:
+        M, _ = _load_input(str(FIXTURES / fixture))
+        chain = "|".join(
+            ",".join(map(str, to_labels(m))) for m in weight_report(M).witness_e
+        )
+        flags = [chain if flag == "@e" else flag for flag in flags]
     status = main([command, str(FIXTURES / fixture), *flags])
     stdout = capsys.readouterr().out
     digest = hashlib.sha256(f"{status}\n{stdout}".encode()).hexdigest()

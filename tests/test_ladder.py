@@ -34,13 +34,13 @@ def test_free_matroid_empty_ladder():
 def test_uniform24_ladder():
     lad = ladder(uniform(2, 4))
     assert lad.t == 2
-    assert [to_labels(m) for m in lad.level(1)] == [
+    assert [to_labels(m) for m in lad.levels[0]] == [
         (1, 2, 3),
         (1, 2, 4),
         (1, 3, 4),
         (2, 3, 4),
     ]
-    assert lad.level(2) == (full_mask(4),)
+    assert lad.levels[1] == (full_mask(4),)
 
 
 def test_ternary84_ladder_level_sizes(ternary84):
@@ -50,9 +50,9 @@ def test_ternary84_ladder_level_sizes(ternary84):
     lad = ladder(ternary84)
     assert lad.t == 4
     assert [len(lv) for lv in lad.levels] == [7, 3 * 4 + 1 + 1, 3 * 1 + 1 * 4, 1]
-    assert from_labels([5, 6, 7, 8]) in lad.level(2)
-    assert from_labels([1, 2, 3, 4]) in lad.level(2)
-    assert lad.level(4) == (full_mask(8),)
+    assert from_labels([5, 6, 7, 8]) in lad.levels[1]
+    assert from_labels([1, 2, 3, 4]) in lad.levels[1]
+    assert lad.levels[3] == (full_mask(8),)
 
 
 def test_m23_circuit_count(m23):
@@ -108,8 +108,8 @@ def test_every_member_covers_something_below(small_corpus):
     for M in small_corpus:
         lad = ladder(M)
         for i in range(2, lad.t + 1):
-            below = lad.level(i - 1)
-            for mu in lad.level(i):
+            below = lad.levels[i - 2]
+            for mu in lad.levels[i - 1]:
                 assert any(is_subset(rho, mu) for rho in below)
 
 
@@ -118,10 +118,10 @@ def test_each_level_member_is_union_of_lower_and_circuit(small_corpus):
         lad = ladder(M)
         circ = circuits(M)
         for i in range(2, lad.t + 1):
-            for mu in lad.level(i):
+            for mu in lad.levels[i - 1]:
                 assert any(
                     rho | c == mu
-                    for rho in lad.level(i - 1)
+                    for rho in lad.levels[i - 2]
                     if is_subset(rho, mu)
                     for c in circ
                     if is_subset(c, mu)
@@ -152,14 +152,14 @@ def test_is_cycle_matches_ladder_membership(small_corpus, monkeypatch):
         monkeypatch.setattr(M, "ranks", lambda masks: calls.append(1) or ranks(masks))
         verdicts = is_cycle(M, range(1 << M.n))
         for mask, (verdict, nl) in enumerate(verdicts):
-            assert verdict == lad.contains(nl, mask)
+            assert verdict == (nl >= 1 and mask in lad.levels[nl - 1])
         # one rank query for the whole batch
         assert len(calls) == 1
 
 
 def covers(M, l: int, rho: int) -> tuple[int, ...]:
     """Members of ladder level l + 1 strictly containing rho."""
-    return tuple(mu for mu in ladder(M).level(l + 1) if is_subset(rho, mu) and mu != rho)
+    return tuple(mu for mu in ladder(M).levels[l] if is_subset(rho, mu) and mu != rho)
 
 
 def test_covers_fixture_cases(ternary84, m23):
@@ -175,8 +175,8 @@ def test_covers_fixture_cases(ternary84, m23):
 def test_covers_rejects_non_ladder_member(ternary84):
     # {1,2,3} sits on no level, and the top level has no level above it
     lad = ladder(ternary84)
-    assert not any(lad.contains(i, from_labels([1, 2, 3])) for i in range(1, lad.t + 1))
-    with pytest.raises(InputError):
+    assert not any(from_labels([1, 2, 3]) in level for level in lad.levels)
+    with pytest.raises(IndexError):
         covers(ternary84, lad.t, full_mask(8))
 
 
@@ -184,7 +184,7 @@ def test_covers_nonempty_below_top(small_corpus):
     for M in small_corpus:
         lad = ladder(M)
         for i in range(1, lad.t):
-            for rho in lad.level(i):
+            for rho in lad.levels[i - 1]:
                 assert covers(M, i, rho)
 
 
@@ -199,7 +199,7 @@ def test_max_chain_reaches_corank(small_corpus):
         if lad.t:
             E = full_mask(M.n)
             coloops = [b for b in singletons(E) if M.rank(E & ~b) < M.full_rank]
-            assert lad.level(lad.t) == (E & ~sum(coloops),)
+            assert lad.levels[-1] == (E & ~sum(coloops),)
 
 
 def test_bruteforce_cap():

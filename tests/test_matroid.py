@@ -102,6 +102,36 @@ def test_from_circuits_rejects_non_antichain():
         from_circuits(4, [[1, 2], [1, 2, 3]])
     with pytest.raises(InputError):
         from_circuits(4, [[]])
+    # of several nested pairs, the message names the first in (cardinality,
+    # mask) order: smaller member first, then larger
+    with pytest.raises(InputError, match=r"\(1, 2\) contained in \(1, 2, 3\)$"):
+        from_circuits(4, [[3, 4], [1, 2, 3, 4], [1, 2], [1, 2, 3]])
+
+
+def test_antichain_refusal_matches_pairwise_definition():
+    """Acceptance, and the pair a refusal names, agree with the scan of every
+    pair of distinct circuits in (cardinality, mask) order."""
+    rng = np.random.default_rng(16)
+    refused = 0
+    for _ in range(400):
+        n = int(rng.integers(3, 9))
+        masks = rng.integers(1, 1 << n, int(rng.integers(1, 9))).tolist()
+        circs = sorted(set(masks), key=lambda c: (popcount(c), c))
+        first = next(
+            ((a, b) for i, a in enumerate(circs) for b in circs[i + 1 :] if a & ~b == 0),
+            None,
+        )
+        if first is None:
+            assert circuits(from_circuits(n, masks)) == tuple(circs)
+            continue
+        refused += 1
+        with pytest.raises(InputError) as exc:
+            from_circuits(n, masks)
+        a, b = first
+        assert str(exc.value) == (
+            f"circuit list is not an antichain: {to_labels(a)} contained in {to_labels(b)}"
+        )
+    assert 0 < refused < 400
 
 
 def test_m23_rank(m23):

@@ -133,10 +133,10 @@ def test_lex_revlex_mirror_on_chain_pairs():
 def _sample_chains(lad, rng, count):
     chains = []
     for _ in range(count):
-        chain = [lad.level(1)[rng.integers(0, len(lad.level(1)))]]
+        chain = [lad.levels[0][rng.integers(0, len(lad.levels[0]))]]
         ok = True
         for lvl in range(2, lad.t + 1):
-            ups = [m for m in lad.level(lvl) if is_subset(chain[-1], m)]
+            ups = [m for m in lad.levels[lvl - 1] if is_subset(chain[-1], m)]
             if not ups:
                 ok = False
                 break

@@ -221,23 +221,34 @@ def test_report_json_shape(ternary84):
 
 
 def test_report_invariants_fire_under_optimize():
-    # validate raises InvariantError, not an assert, so python -O keeps it
+    # validate raises InvariantError, not an assert, so python -O keeps it;
+    # the second report has e-tilde == d but e != d
     import subprocess
     import sys
 
     script = (
         "from matgreedy.errors import InvariantError\n"
         "from matgreedy.weights import WeightReport\n"
-        "report = WeightReport(n=4, t=2, d=(2, 4), e=(3, 4), e_tilde=(2, 4), "
-        "g=(2, 4), witness_d=(3, 15), witness_e=(7, 15), witness_e_tilde=(3, 15), "
-        "witness_g=((None, 3), (3, 15)), chained=False)\n"
-        "try:\n"
-        "    report.validate()\n"
-        "except InvariantError as exc:\n"
-        "    print('refused:', exc)\n"
+        "reports = [\n"
+        "    WeightReport(n=4, d=(2, 4), e=(3, 4), e_tilde=(2, 4), g=(2, 4),\n"
+        "                 witness_d=(3, 15), witness_e=(7, 15), witness_e_tilde=(3, 15),\n"
+        "                 witness_g=((None, 3), (3, 15))),\n"
+        "    WeightReport(n=5, d=(2, 3, 5), e=(2, 4, 5), e_tilde=(2, 3, 5), g=(2, 4, 5),\n"
+        "                 witness_d=(3, 7, 31), witness_e=(3, 15, 31),\n"
+        "                 witness_e_tilde=(3, 7, 31),\n"
+        "                 witness_g=((None, 3), (3, 15), (15, 31))),\n"
+        "]\n"
+        "for report in reports:\n"
+        "    try:\n"
+        "        report.validate()\n"
+        "    except InvariantError as exc:\n"
+        "        print('refused:', exc)\n"
     )
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("refused: e_1, g_1 and d_1 must agree")
+    assert done.stdout.splitlines() == [
+        "refused: e_1, g_1 and d_1 must agree",
+        "refused: bottom-up and top-down chainedness disagree",
+    ]
