@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapExceeded, InputError
 from .gfp import FieldMatrix, parse_matrix
-from .kernels import CHUNK_ENTRIES, popcounts
+from .kernels import CHUNK_ENTRIES, popcounts, word_supports
 from .matroid import Matroid, from_generator
 
 DEFAULT_SUBSPACE_CAP = 1 << 15
@@ -94,14 +94,9 @@ def echelon_subspaces(p: int, k: int, r: int) -> np.ndarray:
 def _subcode_weights(C: LinearCode, bases: np.ndarray) -> np.ndarray:
     """Support weight of the subcode spanned by each basis: the popcount of
     the union of its rows' codeword supports."""
-    rows = bases.reshape(-1, C.k)
-    row_masks = np.zeros(rows.shape[0], dtype=np.uint64)
-    bits = np.uint64(1) << np.arange(C.n, dtype=np.uint64)
-    step = CHUNK_ENTRIES // C.n + 1
-    for s in range(0, rows.shape[0], step):
-        words = rows[s : s + step] @ C.generator.data % C.p
-        row_masks[s : s + step] = np.where(words != 0, bits, np.uint64(0)).sum(axis=1)
-    return popcounts(np.bitwise_or.reduce(row_masks.reshape(bases.shape[:2]), axis=1))
+    index = bases @ C.p ** np.arange(C.k)  # each row's message as a base-p number
+    rows = word_supports(C.generator.data, C.p, index.ravel())
+    return popcounts(np.bitwise_or.reduce(rows.reshape(index.shape), axis=1))
 
 
 def _containment(

@@ -1,6 +1,6 @@
 """Batched integer kernels: k-subset masks, bit counts, mod-p elimination,
-column-subset ranks, circuit ranks and closures, containment tests and
-weighted containment sums.
+column-subset ranks, code-word supports, circuit ranks and closures,
+containment tests and weighted containment sums.
 
 Each kernel treats a whole batch of subset masks with numpy array operations.
 Batches are split into chunks so that no temporary holds more than about
@@ -38,8 +38,9 @@ def popcounts(masks) -> np.ndarray:
     return np.bitwise_count(np.asarray(masks, dtype=np.uint64)).astype(np.int64)
 
 
-def distinct(masks) -> np.ndarray:
-    """Sorted distinct values of a mask array.
+def distinct(masks, counts: bool = False):
+    """Sorted distinct values of a mask array; with counts, also how often
+    each occurs, as int64.
 
     Used instead of np.unique, which imports numpy.ma (about 2 MB) on its
     first call.
@@ -47,7 +48,10 @@ def distinct(masks) -> np.ndarray:
     masks = np.sort(np.asarray(masks, dtype=np.uint64))
     first = np.ones(masks.shape[0], dtype=bool)
     first[1:] = masks[1:] != masks[:-1]
-    return masks[first]
+    if not counts:
+        return masks[first]
+    starts = np.flatnonzero(first)
+    return masks[starts], np.diff(starts, append=masks.shape[0])
 
 
 def rref_mod_p(a, p):
@@ -139,15 +143,21 @@ def column_ranks(mat, masks, p):
     return out
 
 
-def subset_ranks(mat, p):
-    """Rank of every column-subset of mat over GF(p).
-
-    Entry m of the returned int8 array is the rank of the submatrix whose
-    columns are the set bits of m (bit j <-> column j).  Memory is 2^cols
-    bytes, so callers cap cols.
-    """
-    cols = mat.shape[1]
-    return column_ranks(mat, np.arange(1 << cols, dtype=np.uint64), p).astype(np.int8)
+def word_supports(basis, p, index=None):
+    """Support masks of the words sum_i c_i basis[i] over GF(p) at the given
+    int64 indices, whose base-p digits, lowest first, are the c_i; all p^d
+    words in index order by default."""
+    d, cols = basis.shape
+    count = p**d if index is None else index.size
+    bits = np.uint64(1) << np.arange(cols, dtype=np.uint64)
+    out = np.zeros(count, dtype=np.uint64)
+    step = max(1, CHUNK_ENTRIES // max(1, d, cols))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        part = np.arange(start, stop) if index is None else index[start:stop]
+        words = (part[:, None] // p ** np.arange(d) % p) @ basis % p
+        out[start:stop] = np.where(words != 0, bits, np.uint64(0)).sum(axis=1)
+    return out
 
 
 def _contained(masks, subsets):

@@ -21,19 +21,29 @@ import numpy as np
 from . import kernels
 from .errors import CapExceeded, InvariantError
 from .masks import full_mask, popcount, singletons, to_labels
-from .matroid import Matroid, UniformMatroid
+from .matroid import LinearMatroid, Matroid, UniformMatroid
 
 DEFAULT_SUBSET_CAP = 5_000_000
 
 
-def unions(prev: np.ndarray, circs: np.ndarray) -> np.ndarray:
-    """Distinct unions rho | c (rho in prev, c in circs) strictly above rho."""
-    parts = [np.zeros(0, dtype=np.uint64)]
+def unions(prev: np.ndarray, circs: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """Distinct unions rho | c (rho in prev, c in circs) strictly above rho.
+
+    With a cap, the chunks are merged whenever they hold more than
+    max(cap, twice the last merge) sets, and the first merge of more than
+    cap distinct unions is returned, not all of them.
+    """
+    parts, held = [np.zeros(0, dtype=np.uint64)], 0
     step = max(1, kernels.CHUNK_ENTRIES // circs.size)
     for start in range(0, prev.size, step):
         rho = prev[start : start + step, None]
         grown = rho | circs
         parts.append(kernels.distinct(grown[grown != rho]))
+        held += parts[-1].size
+        if cap is not None and held > max(cap, 2 * parts[0].size):
+            parts = [kernels.distinct(np.concatenate(parts))]
+            if (held := parts[0].size) > cap:
+                return parts[0]
     return kernels.distinct(np.concatenate(parts))
 
 
@@ -58,8 +68,11 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
     """All circuits, sorted by (cardinality, mask).
 
     Circuit-defined matroids return their stored list and uniform matroids
-    the analytic one, whose size the cap bounds; otherwise minimal dependent
-    sets are enumerated in that order, skipping supersets of circuits found.
+    the analytic one, whose size the cap bounds.  Otherwise they are found
+    in that order, skipping supersets of circuits found, as the minimal
+    supports of the p^(n-r) words of ker A for the matroid of a matrix A, or
+    as the dependent sets among all subsets of at most r + 1 elements,
+    whichever list is shorter; the cap bounds it before it is built.
     """
     if M._circuits is not None:
         return M._circuits
@@ -71,16 +84,20 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
             )
         M._circuits = tuple(kernels.subsets(M.n, M.r + 1).tolist())
         return M._circuits
-    found = np.zeros(0, dtype=np.uint64)
-    examined = 0
     max_size = min(M.n, M.full_rank + 1)
+    examined = sum(comb(M.n, size) for size in range(1, max_size + 1))
+    words = M.p ** (M.n - M.full_rank) if isinstance(M, LinearMatroid) else examined
+    if min(words, examined) > cap:
+        raise CapExceeded(f"circuit enumeration examined more than {cap} subsets")
+    if by_words := words < examined:
+        supports = kernels.distinct(kernels.word_supports(M.matrix.kernel_basis().data, M.p))
+        sizes = kernels.popcounts(supports)
+    found = np.zeros(0, dtype=np.uint64)
     for size in range(1, max_size + 1):
-        examined += comb(M.n, size)
-        if examined > cap:
-            raise CapExceeded(f"circuit enumeration examined more than {cap} subsets")
-        sets = kernels.subsets(M.n, size)
+        sets = supports[sizes == size] if by_words else kernels.subsets(M.n, size)
         sets = sets[~kernels.contains_any(sets, found)]
-        found = np.concatenate([found, sets[M.ranks(sets) < size]])
+        # a support is dependent, so a minimal one is a circuit
+        found = np.concatenate([found, sets if by_words else sets[M.ranks(sets) < size]])
     M._circuits = tuple(found.tolist())
     return M._circuits
 

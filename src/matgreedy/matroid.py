@@ -3,9 +3,9 @@ uniform, and duals.
 
 A matroid's ground set and rank function never change after construction;
 only its circuit and ladder caches are written, by ladder.py.  Each kind
-answers rank queries for a whole batch of subsets at once; linear matroids
-on small ground sets precompute a full rank table with the subset_ranks
-kernel.
+answers rank queries for a whole batch of subsets at once; a linear matroid
+counts code words for them when few words need listing, and otherwise
+eliminates the queried columns over GF(p).
 Labels are 1-based throughout.
 """
 
@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .errors import InputError
+from .errors import InputError, require
 from .gfp import FieldMatrix, PrimeField
 from .masks import (
     MAX_GROUND_SET,
@@ -29,8 +29,9 @@ from .masks import (
     to_labels,
 )
 
-# Full 2^n rank tables are built for linear matroids up to this many columns.
-RANK_TABLE_MAX_N = 14
+# Most code words a linear matroid lists to count ranks: about where one
+# containment pass over the words' supports stops beating elimination.
+WORD_CAP = 1 << 12
 
 
 class Matroid:
@@ -98,9 +99,13 @@ class Matroid:
 
 
 class LinearMatroid(Matroid):
-    """Column matroid of a matrix over GF(p): rank(X) = rank of the columns X.
+    """Column matroid of a matrix A over GF(p): rank(X) = rank of the columns X.
 
-    This is the matroid of a code when the matrix is a parity check of it.
+    This is the matroid of a code when A is a parity check of it.  With
+    r = rank(A), ranks are counted from the shorter of two word lists while
+    it holds at most WORD_CAP words (Wei 1991):
+    r - rank(X) = log_p #{w in rowspace(A) : supp w inside E - X} and
+    |X| - rank(X) = log_p #{w in ker(A) : supp w inside X}.
     """
 
     kind = "linear"
@@ -108,21 +113,33 @@ class LinearMatroid(Matroid):
     def __init__(self, matrix: FieldMatrix):
         super().__init__(matrix.ncols)
         self.matrix = matrix
+        self.p = matrix.p
+        self.full_rank = matrix.rank()
 
     @cached_property
-    def _table(self) -> np.ndarray | None:
-        if self.n <= RANK_TABLE_MAX_N:
-            return kernels.subset_ranks(self.matrix.data, self.p)
-        return None
+    def _words(self) -> tuple[bool, np.ndarray, np.ndarray] | None:
+        """(row side, distinct supports, their multiplicities) of the word
+        list ranks are counted from, or None to eliminate instead."""
+        dim = min(self.full_rank, self.n - self.full_rank)
+        if self.p**dim > WORD_CAP:
+            return None
+        row_side = dim == self.full_rank
+        basis = self.matrix.rref()[0] if row_side else self.matrix.kernel_basis()
+        return row_side, *kernels.distinct(kernels.word_supports(basis.data, self.p), counts=True)
 
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
-        if self._table is None:
+        if self._words is None:
             return kernels.column_ranks(self.matrix.data, masks, self.p)
-        return self._table[masks].astype(np.int64)
-
-    @property
-    def p(self) -> int:
-        return self.matrix.p
+        row_side, supports, counts = self._words
+        r = self.full_rank
+        inside = np.uint64(full_mask(self.n)) ^ masks if row_side else masks
+        found = kernels.subset_sums(inside, supports, counts)
+        # the words found form a subspace, so their count is a power of p
+        powers = self.p ** np.arange(min(r, self.n - r) + 1)
+        dims = np.searchsorted(powers, found)
+        require(np.array_equal(powers[np.minimum(dims, powers.size - 1)], found),
+                "a count of code words is not a power of p")
+        return (r if row_side else kernels.popcounts(masks)) - dims
 
 
 class CircuitMatroid(Matroid):
@@ -205,12 +222,13 @@ def from_parity_check(h: FieldMatrix) -> Matroid:
 
 
 def from_generator(g: FieldMatrix) -> Matroid:
-    """Matroid of the code generated by g: the dual of g's column matroid.
+    """Matroid of the code generated by g: the column matroid of a parity
+    check of it, the dual of g's column matroid.
 
     Equivalently its nullity of X is the dimension of the subcode supported
     inside X.
     """
-    return DualMatroid(LinearMatroid(g))
+    return LinearMatroid(g.kernel_basis())
 
 
 def from_circuits(n: int, circuits) -> Matroid:

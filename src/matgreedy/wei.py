@@ -47,15 +47,15 @@ def dual_greedy_top_down(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int
     at cl(empty) and, rank by rank, closes every F + e of the frontier and
     keeps the largest of these covers; e-tilde(M*)_l = n - (its size at rank
     r - l), closing sets through M's circuits.  cap bounds the distinct sets
-    F + e of a rank, before closing, and the enumeration of M's circuits if
-    they are not cached yet.
+    F + e of a rank, counted as they are built and before closing, and the
+    enumeration of M's circuits if they are not cached yet.
     """
     circs = np.array(circuits(M, cap), dtype=np.uint64)
     bits = np.uint64(1) << np.arange(M.n, dtype=np.uint64)
     frontier = kernels.circuit_closures(np.zeros(1, dtype=np.uint64), circs)
     sizes, found = [popcount(int(frontier[0]))], [np.zeros(0, dtype=np.uint64)]
     for k in range(1, M.full_rank + 1):
-        grown = unions(frontier, bits)
+        grown = unions(frontier, bits, cap)
         if grown.size > cap:
             raise CapExceeded(
                 f"the flats walk at rank {k} needs {grown.size} closures, more than {cap}"

@@ -218,6 +218,26 @@ def test_output_byte_stable():
     assert len(outputs) == 1
 
 
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique, the obvious tool for counting word supports, imports
+    # numpy.ma, about 2 MB of resident memory
+    import subprocess
+    import sys
+
+    parity = tmp_path / "hamming7.json"
+    parity.write_text(json.dumps({"type": "linear", "p": 2, "matrix": [
+        [1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]}))
+    script = (
+        "import sys\n"
+        "from matgreedy import cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    for command in ('weights', 'validate', 'wei'):\n"
+        "        assert cli.run(cli.RunConfig(command, path))[0] == 0, (command, path)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    subprocess.run([sys.executable, "-c", script, str(parity), CODE8], check=True)
+
+
 def test_console_script_byte_stable_across_processes():
     import subprocess
     import sys

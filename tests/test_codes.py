@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from matgreedy import codes as codes_mod
+from matgreedy import kernels
 from matgreedy.codes import (
     LinearCode,
     echelon_subspaces,
@@ -262,8 +263,10 @@ def test_subcode_oracle_matches_ladder_route_larger_k(ternary84_code):
 
 
 def test_subcode_oracle_small_chunks(monkeypatch, ternary84_code):
-    # chunks of a few pairs split every containment test into many pieces
+    # chunks of a few pairs split every containment test and every codeword
+    # support batch into many pieces
     monkeypatch.setattr(codes_mod, "CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 64)
     for C in _larger_k_codes(ternary84_code):
         report = weight_report(C.matroid())
         assert (report.d, report.e, report.e_tilde, report.g) == subcode_weights(C), C

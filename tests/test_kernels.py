@@ -4,6 +4,7 @@ against the exhaustive-scan oracle on a seeded corpus of larger matroids."""
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,11 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matgreedy import kernels
+from matgreedy.errors import CapExceeded
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import circuits, ladder
-from matgreedy.masks import popcount
-from matgreedy.matroid import from_circuits, from_parity_check
-from tests.conftest import corpus_small
+from matgreedy.masks import full_mask, popcount
+from matgreedy.matroid import (
+    WORD_CAP,
+    DualMatroid,
+    from_circuits,
+    from_generator,
+    from_parity_check,
+)
+from tests.conftest import TERNARY84_GENERATOR_ROWS, corpus_small
 from tests.ladder_oracle import bruteforce_ladder, filter_minimal
 from tests.paper_oracle import columns
 
@@ -178,12 +186,36 @@ def test_column_ranks_cancel_exactly_near_the_largest_modulus():
     assert got.tolist() == [min(m, 1) for m in masks]
 
 
-def test_subset_rank_table_matches_field_matrix_rank():
+def test_counted_rank_route_matches_field_matrix_rank():
     rng = np.random.default_rng(7)
     mat = FieldMatrix(3, rng.integers(0, 3, size=(6, 12)))
-    table = kernels.subset_ranks(mat.data, 3)
-    assert len(table) == 1 << 12  # far more masks than one chunk holds
-    assert table.tolist() == [columns(mat, m).rank() for m in range(1 << 12)]
+    M = from_parity_check(mat)
+    masks = range(1 << 12)  # far more masks than one chunk holds
+    assert M.ranks(masks).tolist() == [columns(mat, m).rank() for m in masks]
+    assert M._words is not None
+
+
+def test_distinct_counts_match_plain_counts():
+    values = [int(x) for x in np.random.default_rng(3).integers(0, 50, size=400)]
+    masks, counts = kernels.distinct(values, counts=True)
+    assert masks.tolist() == sorted(set(values))
+    assert counts.tolist() == [values.count(v) for v in masks.tolist()]
+    empty = kernels.distinct([], counts=True)
+    assert [part.tolist() for part in empty] == [[], []]
+
+
+@pytest.mark.parametrize("p, rows, cols", [(2, 5, 9), (3, 3, 7), (7, 2, 5), (5, 0, 4)])
+def test_word_supports_enumerate_every_combination(p, rows, cols):
+    basis = np.random.default_rng(p + rows).integers(0, p, size=(rows, cols))
+    got = kernels.word_supports(basis, p).tolist()
+    want = []
+    for index in range(p**rows):
+        coeffs = [index // p**i % p for i in range(rows)]
+        word = [sum(c * int(basis[i, j]) for i, c in enumerate(coeffs)) % p for j in range(cols)]
+        want.append(sum(1 << j for j, x in enumerate(word) if x))
+    assert got == want
+    index = np.arange(p**rows)[::-3]
+    assert kernels.word_supports(basis, p, index).tolist() == [want[i] for i in index]
 
 
 @pytest.mark.parametrize("p, n", [(2, 15), (3, 16), (65521, 15)])
@@ -193,6 +225,106 @@ def test_linear_ranks_without_table_match_field_matrix_rank(p, n):
     masks = [0, (1 << n) - 1] + [int(x) for x in rng.integers(0, 1 << n, size=1200)]
     got = from_parity_check(mat).ranks(masks)
     assert got.tolist() == [columns(mat, m).rank() for m in masks]
+
+
+def full_rank_matrix(rng, p: int, rows: int, cols: int) -> FieldMatrix:
+    while (mat := FieldMatrix(p, rng.integers(0, p, size=(rows, cols)))).rank() < rows:
+        pass
+    return mat
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("rows, row_side", [(3, True), (6, False)])
+def test_word_counted_ranks_match_field_matrix_rank(p, rows, row_side):
+    # on 9 columns a rank-3 matrix counts the p^3 words of its row space and
+    # a rank-6 one the p^3 words of its kernel; as a generator, each gives a
+    # parity check of the other shape
+    mat = full_rank_matrix(np.random.default_rng(10 * p + rows), p, rows, 9)
+    masks, top = range(1 << 9), full_mask(9)
+    parity, code = from_parity_check(mat), from_generator(mat)
+    assert parity._words[0] is row_side and code._words[0] is not row_side
+    assert parity.ranks(masks).tolist() == [columns(mat, m).rank() for m in masks]
+    # the code's matroid is the dual of the column matroid of its generator
+    assert code.ranks(masks).tolist() == [
+        popcount(m) + columns(mat, top & ~m).rank() - rows for m in masks
+    ]
+
+
+def test_word_cap_decides_the_rank_route(monkeypatch):
+    eliminated = []
+    real = kernels.column_ranks
+    monkeypatch.setattr(kernels, "column_ranks", lambda *a: eliminated.append(1) or real(*a))
+    rng = np.random.default_rng(12)
+    d = WORD_CAP.bit_length() - 1  # WORD_CAP = 2^d
+
+    def systematic(k):  # [I | R] over GF(2): both lists hold 2^k words
+        return FieldMatrix(2, np.hstack([np.eye(k, dtype=int), rng.integers(0, 2, size=(k, k))]))
+
+    # one word over GF(65521) is already past the cap
+    cases = [(systematic(d), True), (systematic(d + 1), False),
+             (FieldMatrix(65521, [[1, 2, 3], [4, 5, 65520]]), False)]
+    for mat, counted in cases:
+        M = from_parity_check(mat)
+        eliminated.clear()
+        masks = [0, full_mask(M.n)] + [int(x) for x in rng.integers(0, 1 << M.n, size=300)]
+        assert M.ranks(masks).tolist() == [columns(mat, m).rank() for m in masks]
+        assert (M._words is not None) is counted and bool(eliminated) is not counted
+
+
+def subset_route(M):
+    """M's ranks behind two dual wrappers, which list no words: circuits()
+    enumerates subsets for it."""
+    return DualMatroid(M.dual())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_circuits_from_words_equal_circuits_from_subsets(seed, monkeypatch):
+    # kernels of dimension 1-3 over GF(2)/GF(3): the words are priced cheaper
+    # than the subsets, and the ranks are counted
+    rng = np.random.default_rng(500 + seed)
+    p, n, k = (2, 3)[seed % 2], int(rng.integers(7, 12)), 1 + seed % 3
+    matroids = [from_parity_check(full_rank_matrix(rng, p, n - k, n)),
+                from_generator(full_rank_matrix(rng, p, k, n))]
+    if seed == 0:
+        matroids.append(from_generator(FieldMatrix(3, TERNARY84_GENERATOR_ROWS)))
+    for M in matroids:
+        oracle, masks = subset_route(M), range(1 << M.n)
+        want_circuits, want_ranks = circuits(oracle), oracle.ranks(masks).tolist()
+        want_levels = bruteforce_ladder(oracle).levels
+
+        def refuse(*args):
+            raise AssertionError("subset enumeration or elimination ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "subsets", refuse)
+            patch.setattr(kernels, "column_ranks", refuse)
+            assert circuits(M) == want_circuits
+            assert M.ranks(masks).tolist() == want_ranks
+            assert ladder(M).levels == want_levels
+
+
+def test_circuit_routes_priced_before_any_work(monkeypatch):
+    # the binary simplex [31,5] generator is the Hamming [31,26] parity check
+    simplex = FieldMatrix(2, [[j >> i & 1 for j in range(1, 32)] for i in range(5)])
+    hamming, code = from_parity_check(simplex), from_generator(simplex)
+    # sum C(31, s) for s <= 6, against 2^26 kernel words
+    subsets = sum(comb(31, s) for s in range(1, 7))
+    assert subsets == 942_648
+
+    def refuse(*args):
+        raise AssertionError("work before the cap check")
+
+    with monkeypatch.context() as patch:
+        for name in ("subsets", "word_supports", "contains_any", "column_ranks", "subset_sums"):
+            patch.setattr(kernels, name, refuse)
+        with pytest.raises(CapExceeded, match=f"more than {subsets - 1} subsets"):
+            circuits(hamming, cap=subsets - 1)
+        # the simplex code's 32 words against every subset of up to 27 elements
+        with pytest.raises(CapExceeded, match="more than 31 subsets"):
+            circuits(code, cap=31)
+    found = circuits(code, cap=32)
+    assert len(found) == 31 and {popcount(c) for c in found} == {16}
+    assert code.full_rank == 26 and code._words[0] is False
 
 
 def test_batched_ranks_match_single_queries(ternary84):

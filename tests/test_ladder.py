@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from matgreedy.errors import CapExceeded, InputError
-from matgreedy.ladder import circuits, is_cycle, ladder
+from matgreedy.ladder import circuits, is_cycle, ladder, unions
 from matgreedy.masks import (
     from_labels,
     full_mask,
@@ -218,3 +218,22 @@ def test_dump_format_sorted(ternary84):
     level1 = doc["levels"][0]
     assert level1[0] == [1, 2]
     assert all(lv == sorted(lv) for lv in level1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_capped_unions_trip_exactly_when_all_unions_exceed_the_cap(seed):
+    # merges happen at max(cap, twice the last merge) held sets, so a cap
+    # may trip at any chunk; the verdict is that of the full count
+    rng = np.random.default_rng(seed)
+    prev = np.unique(rng.integers(0, 1 << 20, size=3000).astype(np.uint64))
+    grow = np.uint64(1) << np.arange(20, dtype=np.uint64)
+    every = unions(prev, grow)
+    for cap in (100, 5000, every.size // 2, every.size - 1, every.size, 2 * every.size):
+        got = unions(prev, grow, cap)
+        assert (got.size > cap) is (every.size > cap)
+        assert np.isin(got, every).all()
+        if every.size <= cap:
+            assert got.tolist() == every.tolist()
+        else:
+            # stopped at a merge: fewer sets than the full count, but sorted and distinct
+            assert got.size <= every.size and (np.diff(got.astype(np.int64)) > 0).all()
