@@ -1,10 +1,13 @@
 """Batched integer kernels: k-subset masks, bit counts, mod-p elimination,
-column-subset ranks, code-word supports, circuit ranks and closures,
-containment tests and weighted containment sums.
+column-subset ranks, code-word supports, circuit ranks and closures, the
+circuit rank table, containment tests and weighted containment sums.
 
 Each kernel treats a whole batch of subset masks with numpy array operations.
 Batches are split into chunks so that no temporary holds more than about
-CHUNK_ENTRIES 8-byte entries.
+CHUNK_ENTRIES 8-byte entries.  A circuit list with 2^n <= CHUNK_ENTRIES is
+ranked from one table of all 2^n greedy ranks instead, grown in the same
+order as circuit_ranks: a largest-independent-subset transform would change
+the ranks, and so the refusals, of lists that break the circuit axioms.
 
 Matrices are int64 row-major with entries reduced mod p (p < 2^16, so every
 intermediate product fits in int64).  Subset masks are uint64, label i on
@@ -226,3 +229,20 @@ def circuit_ranks(masks, circuits, n):
             rows = rows[~contains_any(indep[rows] | bit, through)]
         indep[rows] |= bit
     return popcounts(indep)
+
+
+def circuit_rank_table(circuits, n):
+    """circuit_ranks of every mask below 2^n, indexed by mask: with the sets
+    holding a circuit closed upward, the greedy basis of a mask with top bit b
+    is that of the mask less b, plus b unless that set holds a circuit."""
+    dependent = np.zeros(1 << n, dtype=bool)
+    dependent[np.asarray(circuits, dtype=np.uint64)] = True
+    for b in range(n):
+        halves = dependent.reshape(-1, 2, 1 << b)
+        halves[:, 1] |= halves[:, 0]
+    basis = np.zeros(1 << n, dtype=np.uint64)
+    for b in range(n):
+        below = basis[: 1 << b]
+        grown = below | np.uint64(1 << b)
+        basis[1 << b : 2 << b] = np.where(dependent[grown], below, grown)
+    return popcounts(basis)

@@ -143,7 +143,10 @@ class LinearMatroid(Matroid):
 
 
 class CircuitMatroid(Matroid):
-    """Matroid given by its circuit list; rank by greedy basis growth.
+    """Matroid given by its circuit list; rank by greedy basis growth, read
+    from one table of all 2^n ranks built on the first query when 2^n <=
+    kernels.CHUNK_ENTRIES.  The table keeps the greedy order, so a list that
+    breaks the circuit axioms gets the same ranks, and refusals, either way.
 
     The antichain condition is checked here.  The circuit axioms are not
     (their full check is exponential), but a list that breaks them is still
@@ -177,8 +180,15 @@ class CircuitMatroid(Matroid):
             )
         self._circuits = tuple(circs)
 
+    @cached_property
+    def _table(self) -> np.ndarray | None:
+        small = 1 << self.n <= kernels.CHUNK_ENTRIES
+        return kernels.circuit_rank_table(self._circ_arr, self.n) if small else None
+
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
-        return kernels.circuit_ranks(masks, self._circ_arr, self.n)
+        if self._table is None:
+            return kernels.circuit_ranks(masks, self._circ_arr, self.n)
+        return self._table[masks]
 
 
 class UniformMatroid(Matroid):

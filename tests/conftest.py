@@ -3,6 +3,7 @@ matroid/code generators with fixed seeds."""
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
 from pathlib import Path
 
@@ -20,6 +21,12 @@ from matgreedy.matroid import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
+# pytest imports the package from src/ (pyproject's pythonpath); the
+# interpreters that tests start import it from there too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+)
 
 TERNARY84_GENERATOR_ROWS = [
     [1, 0, 1, 1, 0, 0, 0, 0],

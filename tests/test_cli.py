@@ -13,11 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matgreedy import betti as betti_mod
+from matgreedy import kernels
 from matgreedy.cli import COMMANDS, RunConfig, main, run
 from matgreedy.codes import LinearCode
 from matgreedy.errors import InputError
 from matgreedy.gfp import FieldMatrix
-from matgreedy.ladder import DEFAULT_SUBSET_CAP
+from matgreedy.ladder import DEFAULT_SUBSET_CAP, circuits
+from matgreedy.masks import to_labels
+from matgreedy.matroid import from_generator
 from tests.conftest import FIXTURES, format_matrix, random_code
 from tests.test_betti import hilbert_numerator_order
 
@@ -569,6 +572,38 @@ def test_wei_refuses_non_matroid_circuit_lists(tmp_path):
         accepted[is_matroid] += status == 0
     assert total == {True: 119, False: 81}
     assert accepted[True] == 119 and accepted[False] <= 1
+
+
+def _refuse(*args):
+    raise AssertionError("this rank route must not run")
+
+
+def test_circuit_lists_rank_from_one_table_up_to_chunk_entries(tmp_path, monkeypatch):
+    # 2^12 <= CHUNK_ENTRIES: every rank is read from the greedy table, and
+    # the output equals that of the per-query route forced by a smaller cap
+    code = random_code(np.random.default_rng(19), 3, 12, 6)
+    circs = circuits(from_generator(code.generator))
+    path = tmp_path / "n12.json"
+    path.write_text(json.dumps({"type": "circuits", "n": 12,
+                                "circuits": [to_labels(c) for c in circs]}))
+    configs = [RunConfig("weights", str(path)), RunConfig("wei", str(path)),
+               RunConfig("betti", str(path), values=True)]
+    monkeypatch.setattr(kernels, "circuit_ranks", _refuse)
+    by_table = [run(config) for config in configs]
+    assert all(status == 0 for status, _ in by_table)
+    monkeypatch.undo()
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 1 << 11)
+    monkeypatch.setattr(kernels, "circuit_rank_table", _refuse)
+    assert [run(config) for config in configs] == by_table
+
+
+def test_m23_never_builds_a_rank_table(monkeypatch):
+    calls = []
+    per_query = kernels.circuit_ranks
+    monkeypatch.setattr(kernels, "circuit_rank_table", _refuse)
+    monkeypatch.setattr(kernels, "circuit_ranks", lambda *a: calls.append(1) or per_query(*a))
+    status, _ = run(RunConfig("weights", M23))
+    assert status == 0 and calls
 
 
 def test_chain_parse_errors():
