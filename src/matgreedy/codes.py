@@ -15,17 +15,17 @@ import numpy as np
 
 from .errors import CapExceeded, InputError
 from .gfp import FieldMatrix, parse_matrix
-from .kernels import CHUNK_ENTRIES, popcounts, word_supports
-from .matroid import Matroid, from_generator
+from .kernels import CHUNK_ENTRIES, null_basis, popcounts, word_supports
+from .matroid import LinearMatroid, Matroid
 
 DEFAULT_SUBSPACE_CAP = 1 << 15
 
 
 class LinearCode:
-    """[n, k] code over GF(p), held as a canonical RREF generator matrix."""
+    """[n, k] code over GF(p), held as its canonical RREF generator and pivots."""
 
     def __init__(self, generator: FieldMatrix):
-        rref, _ = generator.rref()
+        rref, self.pivots = generator.rref()
         if rref.nrows != generator.nrows:
             raise InputError(
                 f"generator rows are dependent: rank {rref.nrows} "
@@ -55,7 +55,9 @@ class LinearCode:
 
     def matroid(self) -> Matroid:
         if self._matroid is None:
-            self._matroid = from_generator(self.generator)
+            # as from_generator, from the echelon form already at hand
+            gen = self.generator.data
+            self._matroid = LinearMatroid(self.p, *null_basis(gen, self.pivots, self.p), gen)
         return self._matroid
 
 

@@ -18,14 +18,7 @@ MAX_MODULUS = 1 << 16
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 class PrimeField:
@@ -57,18 +50,25 @@ class FieldMatrix:
         if not isinstance(field, PrimeField):
             field = PrimeField(field)
         self.field = field
-        try:
-            data = np.array(rows, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise InputError(
-                "matrix rows must form a rectangular 2D array of integers"
-            ) from exc
-        if data.ndim != 2:
-            if data.size == 0:
-                data = data.reshape(0, 0)
-            else:
+        if not isinstance(rows, np.ndarray):
+            # entry by entry: beside integers numpy reads True as 1, and the
+            # int64 cast would truncate 2.9 to 2
+            try:
+                rows = [list(row) for row in rows]
+                ints = (type(x) is int or isinstance(x, np.integer) for row in rows for x in row)
+                if not all(ints):
+                    raise InputError("matrix entries must be integers")
+                rows = np.array(rows, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError) as exc:
+                message = "matrix rows must form a rectangular 2D array of integers"
+                raise InputError(message) from exc
+        if rows.size and rows.dtype.kind not in "iu":
+            raise InputError(f"matrix entries must be integers, not {rows.dtype}")
+        if rows.ndim != 2:
+            if rows.size:
                 raise InputError("matrix rows must form a rectangular 2D array")
-        self.data = np.mod(data, field.p)
+            rows = rows.reshape(0, 0)
+        self.data = np.mod(rows, field.p).astype(np.int64, copy=False)
         self.data.setflags(write=False)
 
     @property
@@ -100,11 +100,11 @@ class FieldMatrix:
     def transpose(self) -> FieldMatrix:
         return FieldMatrix(self.field, self.data.T.copy())
 
-    def rref(self) -> tuple[FieldMatrix, tuple[int, ...]]:
-        """Reduced row echelon form and 0-based pivot columns."""
+    def rref(self) -> tuple[FieldMatrix, np.ndarray]:
+        """Reduced row echelon form and its 0-based pivot columns, as int64."""
         work = self.data.copy()
-        rank, piv = kernels.rref_mod_p(work, self.p)
-        return FieldMatrix(self.field, work[:rank]), tuple(int(c) for c in piv)
+        rank, pivots = kernels.rref_mod_p(work, self.p)
+        return FieldMatrix(self.field, work[:rank]), pivots
 
     def rank(self) -> int:
         return kernels.rref_mod_p(self.data.copy(), self.p)[0]
@@ -116,15 +116,8 @@ class FieldMatrix:
         canonical function of the matrix.  Empty matrix (0 rows) for full
         column rank.
         """
-        work = self.data.copy()
-        rank, piv = kernels.rref_mod_p(work, self.p)
-        piv = [int(c) for c in piv]
-        free = [c for c in range(self.ncols) if c not in piv]
-        vecs = np.zeros((len(free), self.ncols), dtype=np.int64)
-        for k, fc in enumerate(free):
-            vecs[k, fc] = 1
-            for r, pc in enumerate(piv):
-                vecs[k, pc] = (-work[r, fc]) % self.p
+        rref, pivots = self.rref()
+        vecs = kernels.null_basis(rref.data, pivots, self.p)[0]
         kernels.rref_mod_p(vecs, self.p)
         return FieldMatrix(self.field, vecs)
 

@@ -1,6 +1,6 @@
-"""Batched integer kernels: k-subset masks, bit counts, mod-p elimination,
-column-subset ranks, code-word supports, circuit ranks and closures, the
-circuit rank table, containment tests and weighted containment sums.
+"""Batched integer kernels: k-subset masks, bit counts, mod-p elimination and
+null bases, column-subset ranks, code-word supports, circuit ranks, closures
+and rank table, containment tests and weighted containment sums.
 
 Each kernel treats a whole batch of subset masks with numpy array operations.
 Batches are split into chunks so that no temporary holds more than about
@@ -10,8 +10,10 @@ order as circuit_ranks: a largest-independent-subset transform would change
 the ranks, and so the refusals, of lists that break the circuit axioms.
 
 Matrices are int64 row-major with entries reduced mod p (p < 2^16, so every
-intermediate product fits in int64).  Subset masks are uint64, label i on
-bit i-1.
+intermediate product fits in int64).  A standard-form basis has the identity
+on its unit columns, row i on units[i]: one reduction to echelon form gives
+a matrix's row space so (units: the pivots) and, by null_basis, its kernel
+(units: the free columns).  Subset masks are uint64, label i on bit i-1.
 """
 
 from __future__ import annotations
@@ -115,32 +117,37 @@ def _batch_rank(x, p):
     return rank
 
 
-def column_ranks(mat, masks, p):
-    """Rank over GF(p) of the columns of mat selected by each mask
-    (bit j <-> column j), as an int64 array.
+def null_basis(rref, pivots, p):
+    """Standard-form basis of {v : rref @ v = 0}, and its unit columns, from a
+    reduced echelon form without zero rows and its int64 pivots: the row of
+    free column f is e_f minus column f of rref on the pivots."""
+    free = np.delete(np.arange(rref.shape[1]), pivots)
+    basis = np.zeros((free.size, rref.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -rref[:, free].T % p
+    return basis, free
 
-    mat is brought to reduced echelon form first, which keeps the rank of
-    every column subset.  A selected pivot column is then a unit vector:
-    it adds one to the rank and clears its row, so only the selected free
-    columns, on the rows of unselected pivots, are left to eliminate.
+
+def column_ranks(basis, units, masks, p):
+    """Rank over GF(p) of the columns selected by each mask (bit j <->
+    column j) of a standard-form basis with int64 unit columns, as int64.
+
+    A selected unit column adds one to the rank and clears its row, so only
+    the selected other columns, on the rows of the unselected units, are left
+    to eliminate.
     """
-    a = np.array(mat, dtype=np.int64)
-    rank, piv = rref_mod_p(a, p)
-    free = np.ones(a.shape[1], dtype=bool)
-    free[piv] = False
-    free = np.flatnonzero(free)
-    rest = a[:rank, free]
-    piv_bits = np.uint64(1) << piv.astype(np.uint64)
-    free_bits = np.uint64(1) << free.astype(np.uint64)
+    rest = np.delete(np.arange(basis.shape[1]), units)
+    unit_bits, rest_bits = (np.uint64(1) << cols.astype(np.uint64) for cols in (units, rest))
+    rest = basis[:, rest]
     masks = np.asarray(masks, dtype=np.uint64)
-    out = popcounts(masks & np.bitwise_or.reduce(piv_bits, initial=np.uint64(0)))
+    out = popcounts(masks & np.bitwise_or.reduce(unit_bits, initial=np.uint64(0)))
     if rest.size == 0:
         return out
     step = max(1, CHUNK_ENTRIES // rest.size)
     for start in range(0, masks.shape[0], step):
         chunk = masks[start : start + step, None]
-        open_rows = (chunk & piv_bits) == 0
-        chosen = (chunk & free_bits) != 0
+        open_rows = (chunk & unit_bits) == 0
+        chosen = (chunk & rest_bits) != 0
         x = np.where(open_rows[:, :, None] & chosen[:, None, :], rest, 0)
         out[start : start + step] += _batch_rank(x, p)
     return out

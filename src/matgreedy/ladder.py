@@ -90,7 +90,7 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
     if min(words, examined) > cap:
         raise CapExceeded(f"circuit enumeration examined more than {cap} subsets")
     if by_words := words < examined:
-        supports = kernels.distinct(kernels.word_supports(M.matrix.kernel_basis().data, M.p))
+        supports = M.kernel_words[0]
         sizes = kernels.popcounts(supports)
     found = np.zeros(0, dtype=np.uint64)
     for size in range(1, max_size + 1):

@@ -3,9 +3,10 @@ uniform, and duals.
 
 A matroid's ground set and rank function never change after construction;
 only its circuit and ladder caches are written, by ladder.py.  Each kind
-answers rank queries for a whole batch of subsets at once; a linear matroid
-counts code words for them when few words need listing, and otherwise
-eliminates the queried columns over GF(p).
+answers rank queries for a whole batch of subsets at once.  A linear matroid
+holds its row space and kernel as two standard-form bases from one
+reduction; it counts the words of the shorter one when few words need
+listing, and otherwise eliminates the queried columns of the row space.
 Labels are 1-based throughout.
 """
 
@@ -101,20 +102,26 @@ class Matroid:
 class LinearMatroid(Matroid):
     """Column matroid of a matrix A over GF(p): rank(X) = rank of the columns X.
 
-    This is the matroid of a code when A is a parity check of it.  With
-    r = rank(A), ranks are counted from the shorter of two word lists while
-    it holds at most WORD_CAP words (Wei 1991):
+    This is the matroid of a code when A is a parity check of it.  It holds
+    two standard-form bases from one reduction (kernels.null_basis): basis,
+    of A's row space with the identity on the columns units, and kernel, of
+    ker A.  With r = rank(A), ranks count the shorter word list while it has
+    at most WORD_CAP words (Wei 1991), and eliminate columns of basis if not:
     r - rank(X) = log_p #{w in rowspace(A) : supp w inside E - X} and
     |X| - rank(X) = log_p #{w in ker(A) : supp w inside X}.
     """
 
     kind = "linear"
 
-    def __init__(self, matrix: FieldMatrix):
-        super().__init__(matrix.ncols)
-        self.matrix = matrix
-        self.p = matrix.p
-        self.full_rank = matrix.rank()
+    def __init__(self, p: int, basis: np.ndarray, units: np.ndarray, kernel: np.ndarray):
+        super().__init__(basis.shape[1])
+        self.p, self.basis, self.units, self.kernel = p, basis, units, kernel
+        self.full_rank = len(units)
+
+    @cached_property
+    def kernel_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct supports of the words of ker A, ascending, with multiplicities."""
+        return kernels.distinct(kernels.word_supports(self.kernel, self.p), counts=True)
 
     @cached_property
     def _words(self) -> tuple[bool, np.ndarray, np.ndarray] | None:
@@ -123,13 +130,13 @@ class LinearMatroid(Matroid):
         dim = min(self.full_rank, self.n - self.full_rank)
         if self.p**dim > WORD_CAP:
             return None
-        row_side = dim == self.full_rank
-        basis = self.matrix.rref()[0] if row_side else self.matrix.kernel_basis()
-        return row_side, *kernels.distinct(kernels.word_supports(basis.data, self.p), counts=True)
+        if dim == self.full_rank:
+            return True, *kernels.distinct(kernels.word_supports(self.basis, self.p), counts=True)
+        return False, *self.kernel_words
 
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
         if self._words is None:
-            return kernels.column_ranks(self.matrix.data, masks, self.p)
+            return kernels.column_ranks(self.basis, self.units, masks, self.p)
         row_side, supports, counts = self._words
         r = self.full_rank
         inside = np.uint64(full_mask(self.n)) ^ masks if row_side else masks
@@ -148,11 +155,11 @@ class CircuitMatroid(Matroid):
     kernels.CHUNK_ENTRIES.  The table keeps the greedy order, so a list that
     breaks the circuit axioms gets the same ranks, and refusals, either way.
 
-    The antichain condition is checked here.  The circuit axioms are not
-    (their full check is exponential), but a list that breaks them is still
-    refused once its ladder is built, when the top level is not the single
-    set E minus the coloops (InvariantError, exit 2).  validate_axioms gives
-    an opt-in deeper check.
+    The antichain condition is checked here.  Circuit elimination is not,
+    although it needs only one union mask per pair of meeting circuits; a
+    list that breaks it is still refused once its ladder is built when the
+    top level is not the single set E minus the coloops (InvariantError,
+    exit 2), and validate_axioms gives an opt-in deeper check.
     """
 
     kind = "circuits"
@@ -228,25 +235,21 @@ class DualMatroid(Matroid):
 
 def from_parity_check(h: FieldMatrix) -> Matroid:
     """Matroid of the code with parity check h: rank(X) = rank of columns X."""
-    return LinearMatroid(h)
+    rref, pivots = h.rref()
+    return LinearMatroid(h.p, rref.data, pivots, kernels.null_basis(rref.data, pivots, h.p)[0])
 
 
 def from_generator(g: FieldMatrix) -> Matroid:
-    """Matroid of the code generated by g: the column matroid of a parity
-    check of it, the dual of g's column matroid.
-
-    Equivalently its nullity of X is the dimension of the subcode supported
-    inside X.
-    """
-    return LinearMatroid(g.kernel_basis())
+    """Matroid of the code generated by g: the column matroid of the parity
+    check ker g, whose kernel is g's row space, and the dual of g's column
+    matroid.  Its nullity of X is the dimension of the subcode inside X."""
+    rref, pivots = g.rref()
+    return LinearMatroid(g.p, *kernels.null_basis(rref.data, pivots, g.p), rref.data)
 
 
 def from_circuits(n: int, circuits) -> Matroid:
     """Matroid from an antichain of circuit subsets (masks or label lists)."""
-    masks = []
-    for c in circuits:
-        masks.append(c if isinstance(c, int) else from_labels(c, n))
-    return CircuitMatroid(n, masks)
+    return CircuitMatroid(n, [c if isinstance(c, int) else from_labels(c, n) for c in circuits])
 
 
 def uniform(r: int, n: int) -> Matroid:
@@ -294,7 +297,10 @@ def validate_axioms(M: Matroid, seed: int = 0, samples: int = 4096) -> AxiomRepo
         rank_of = M.ranks(sets).__getitem__
     else:
         rng = np.random.default_rng(seed)
+        # int64 draws hold 63 bits; element 64 comes from a second, later draw,
+        # so on up to 63 elements the sets are those of the first draw alone
         draws = rng.integers(0, 1 << 63, samples).astype(np.uint64)
+        draws |= rng.integers(0, 2, samples).astype(np.uint64) << np.uint64(63)
         sets = kernels.distinct(draws & np.uint64(full_mask(n)))
         # X, X+a and X+a+b for every sampled X and elements a <= b
         grow = np.concatenate([kernels.subsets(n, size) for size in range(3)])

@@ -181,17 +181,7 @@ def weight_report(M: Matroid) -> WeightReport:
     et, chain_et = greedy_top_down(M)
     g, pairs = greedy_cez(M)
     witness_d = tuple(level[0] for level in lad.levels)
-    report = WeightReport(
-        n=M.n,
-        d=d,
-        e=e,
-        e_tilde=et,
-        g=g,
-        witness_d=witness_d,
-        witness_e=chain_e,
-        witness_e_tilde=chain_et,
-        witness_g=pairs,
-    )
+    report = WeightReport(M.n, d, e, et, g, witness_d, chain_e, chain_et, pairs)
     report.validate()
     for level_idx, (mask, verdict) in enumerate(zip(chain_e, is_cycle(M, chain_e)), start=1):
         require(verdict == (True, level_idx), f"{to_labels(mask)} is no cycle")

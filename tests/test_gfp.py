@@ -159,3 +159,20 @@ def test_matrix_text_errors():
         parse_matrix("3 1 2\n1")
     with pytest.raises(InputError):
         parse_matrix("3 1 2\n1 5")
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.5, 2.9, 0.2]], np.array([[1.5, 2.9, 0.2]]),
+    [[True, 0, 1]], [[1, True]], np.array([[True, False]]),
+])
+def test_matrix_refuses_float_and_bool_entries(rows):
+    with pytest.raises(InputError, match="integers"):
+        FieldMatrix(3, rows)
+
+
+def test_matrix_takes_integer_lists_arrays_and_empty_rows():
+    assert FieldMatrix(3, [[4, -1]]).data.tolist() == [[1, 2]]
+    assert FieldMatrix(3, np.array([[4, -1]], dtype=np.int8)).data.tolist() == [[1, 2]]
+    assert FieldMatrix(3, [[np.int64(5)]]).data.tolist() == [[2]]
+    assert FieldMatrix(3, []).data.shape == (0, 0)
+    assert FieldMatrix(3, [[], []]).data.shape == (2, 0)

@@ -3,6 +3,7 @@ against the exhaustive-scan oracle on a seeded corpus of larger matroids."""
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 from math import comb
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matgreedy import kernels
+from matgreedy.cli import COMMANDS, RunConfig, run
 from matgreedy.errors import CapExceeded
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import circuits, ladder
@@ -23,7 +25,7 @@ from matgreedy.matroid import (
     from_generator,
     from_parity_check,
 )
-from tests.conftest import TERNARY84_GENERATOR_ROWS, corpus_small
+from tests.conftest import FIXTURES, TERNARY84_GENERATOR_ROWS, corpus_small
 from tests.ladder_oracle import bruteforce_ladder, filter_minimal
 from tests.paper_oracle import columns
 
@@ -176,8 +178,15 @@ def matrices_and_masks(draw):
 @given(matrices_and_masks())
 def test_column_ranks_match_field_matrix_rank(case):
     mat, masks = case
-    got = kernels.column_ranks(mat.data, u64(masks), mat.p)
+    rref, pivots = mat.rref()
+    got = kernels.column_ranks(rref.data, pivots, u64(masks), mat.p)
     assert got.tolist() == [columns(mat, m).rank() for m in masks]
+    # the kernel's basis is in standard form but not in echelon form
+    kernel, free = kernels.null_basis(rref.data, pivots, mat.p)
+    assert kernel[:, free].tolist() == np.eye(len(free), dtype=int).tolist()
+    assert not (mat.data @ kernel.T % mat.p).any()
+    got = kernels.column_ranks(kernel, free, u64(masks), mat.p)
+    assert got.tolist() == [columns(FieldMatrix(mat.p, kernel), m).rank() for m in masks]
 
 
 def test_column_ranks_cancel_exactly_near_the_largest_modulus():
@@ -187,7 +196,8 @@ def test_column_ranks_cancel_exactly_near_the_largest_modulus():
     v = np.array([p - 1, p - 2, 40000, 65000, 3])
     mat = FieldMatrix(p, [(lam * v) % p for lam in (1, 2, p - 1, 30000)])
     masks = range(1 << 5)
-    got = kernels.column_ranks(mat.data, u64(masks), p)
+    rref, pivots = mat.rref()
+    got = kernels.column_ranks(rref.data, pivots, u64(masks), p)
     assert got.tolist() == [min(m, 1) for m in masks]
 
 
@@ -274,6 +284,39 @@ def test_word_cap_decides_the_rank_route(monkeypatch):
         masks = [0, full_mask(M.n)] + [int(x) for x in rng.integers(0, 1 << M.n, size=300)]
         assert M.ranks(masks).tolist() == [columns(mat, m).rank() for m in masks]
         assert (M._words is not None) is counted and bool(eliminated) is not counted
+
+
+@pytest.mark.parametrize("fixture, most", [
+    ("ternary84_parity.json", 1), ("ternary84.json", 1), ("ternary84_code.txt", 1),
+    ("ternary84_dual.json", 1), ("p65521.json", 1),
+    # the parity check's kernel is reduced to canonical form, then to the code's RREF
+    ("ternary84_parity_code.txt", 3),
+])
+def test_one_reduction_per_linear_input(fixture, most, monkeypatch):
+    calls = []
+    real = kernels.rref_mod_p
+    monkeypatch.setattr(kernels, "rref_mod_p", lambda *a: calls.append(1) or real(*a))
+    configs = [RunConfig(command, str(FIXTURES / fixture)) for command in COMMANDS
+               if command != "strands"]
+    for config in configs + [RunConfig("betti", str(FIXTURES / fixture), values=True)]:
+        calls.clear()
+        assert run(config)[0] == 0
+        assert 1 <= len(calls) <= most
+
+
+def test_kernel_words_listed_once(tmp_path, monkeypatch):
+    # rank 6 of 9 over GF(2): ranks count the 2^3 kernel words, and circuits
+    # are their minimal supports
+    mat = full_rank_matrix(np.random.default_rng(9), 2, 6, 9)
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps({"type": "linear", "p": 2, "matrix": mat.data.tolist()}))
+    listed = []
+    real = kernels.word_supports
+    monkeypatch.setattr(kernels, "word_supports", lambda *a: listed.append(a[0]) or real(*a))
+    for command in ("weights", "wei", "validate"):
+        listed.clear()
+        assert run(RunConfig(command, str(path)))[0] == 0
+        assert len(listed) == 1 and listed[0].shape == (3, 9)
 
 
 def subset_route(M):

@@ -287,6 +287,23 @@ def test_sampled_validate_axioms_asks_ranks_once(monkeypatch):
     assert len(calls) == 1
 
 
+class Bit64Rule(Matroid):
+    """Free on 1..61; 64 is parallel to 62 and to 63, which are independent.
+    Submodularity fails only at sets X holding 64 but neither 62 nor 63
+    (a = 62, b = 63): every check at a set without 64 passes."""
+
+    def _ranks(self, masks):
+        shadowed = ((masks >> np.uint64(63)) & (masks >> np.uint64(61) | masks >> np.uint64(62)))
+        return kernels.popcounts(masks) - (shadowed & np.uint64(1)).astype(np.int64)
+
+
+def test_sampled_validate_axioms_reaches_element_64():
+    report = validate_axioms(Bit64Rule(64), samples=512)
+    assert not report.exhaustive and report.violations
+    # label 64 ends the tuple of X in every violation
+    assert all(v.split(", a=")[0].endswith("64)") for v in report.violations)
+
+
 def test_descriptor_parses_all_kinds(ternary84, m23):
     M = from_descriptor(
         {
