@@ -13,7 +13,7 @@ from .betti import (
 from .codes import LinearCode, subcode_weights
 from .errors import CapExceeded, InputError, InvariantError, MatGreedyError
 from .gfp import FieldMatrix, PrimeField, parse_matrix
-from .ladder import CycleLadder, circuits, is_cycle, ladder
+from .ladder import CycleLadder, circuits, ladder
 from .matroid import (
     Matroid,
     from_circuits,
@@ -63,7 +63,6 @@ __all__ = [
     "greedy_top_down",
     "hamming_weights",
     "is_chained",
-    "is_cycle",
     "ladder",
     "parse_matrix",
     "resolution_shape",

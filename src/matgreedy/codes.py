@@ -36,7 +36,8 @@ class LinearCode:
 
     @classmethod
     def from_parity_check(cls, h: FieldMatrix) -> "LinearCode":
-        return cls(h.kernel_basis())
+        rref, pivots = h.rref()
+        return cls(FieldMatrix(h.field, null_basis(rref.data, pivots, h.p)[0]))
 
     @property
     def p(self) -> int:

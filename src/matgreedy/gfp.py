@@ -97,29 +97,11 @@ class FieldMatrix:
     def __repr__(self) -> str:
         return f"FieldMatrix(p={self.p}, shape={self.nrows}x{self.ncols})"
 
-    def transpose(self) -> FieldMatrix:
-        return FieldMatrix(self.field, self.data.T.copy())
-
     def rref(self) -> tuple[FieldMatrix, np.ndarray]:
         """Reduced row echelon form and its 0-based pivot columns, as int64."""
         work = self.data.copy()
         rank, pivots = kernels.rref_mod_p(work, self.p)
         return FieldMatrix(self.field, work[:rank]), pivots
-
-    def rank(self) -> int:
-        return kernels.rref_mod_p(self.data.copy(), self.p)[0]
-
-    def kernel_basis(self) -> FieldMatrix:
-        """Basis of the right null space {v : self @ v = 0}, as matrix rows.
-
-        The rows are themselves in reduced echelon form, so the basis is a
-        canonical function of the matrix.  Empty matrix (0 rows) for full
-        column rank.
-        """
-        rref, pivots = self.rref()
-        vecs = kernels.null_basis(rref.data, pivots, self.p)[0]
-        kernels.rref_mod_p(vecs, self.p)
-        return FieldMatrix(self.field, vecs)
 
 
 def parse_matrix(text: str) -> FieldMatrix:

@@ -1,13 +1,11 @@
 """Batched integer kernels: k-subset masks, bit counts, mod-p elimination and
-null bases, column-subset ranks, code-word supports, circuit ranks, closures
-and rank table, containment tests and weighted containment sums.
+null bases, column-subset ranks, code-word supports, circuit ranks, closures,
+meet and rank tables, and containment tests, weighted sums and intersections.
 
 Each kernel treats a whole batch of subset masks with numpy array operations.
 Batches are split into chunks so that no temporary holds more than about
 CHUNK_ENTRIES 8-byte entries.  A circuit list with 2^n <= CHUNK_ENTRIES is
-ranked from one table of all 2^n greedy ranks instead, grown in the same
-order as circuit_ranks: a largest-independent-subset transform would change
-the ranks, and so the refusals, of lists that break the circuit axioms.
+read from tables over all 2^n masks instead.
 
 Matrices are int64 row-major with entries reduced mod p (p < 2^16, so every
 intermediate product fits in int64).  A standard-form basis has the identity
@@ -203,6 +201,15 @@ def subset_sums(masks, subsets, weights):
     return out
 
 
+def subset_meets(masks, subsets):
+    """Intersection of the subsets contained in each mask; all ones where
+    none is."""
+    out = np.empty(len(masks), dtype=np.uint64)
+    for rows, inside in _contained(masks, subsets):
+        out[rows] = np.bitwise_and.reduce(np.where(inside, subsets, ~np.uint64(0)), axis=1)
+    return out
+
+
 def circuit_closures(masks, circuits):
     """Closure of each mask, in any matroid given by its circuit masks: X
     plus the one element of C - X for every circuit C with |C - X| = 1."""
@@ -238,15 +245,23 @@ def circuit_ranks(masks, circuits, n):
     return popcounts(indep)
 
 
-def circuit_rank_table(circuits, n):
-    """circuit_ranks of every mask below 2^n, indexed by mask: with the sets
-    holding a circuit closed upward, the greedy basis of a mask with top bit b
-    is that of the mask less b, plus b unless that set holds a circuit."""
-    dependent = np.zeros(1 << n, dtype=bool)
-    dependent[np.asarray(circuits, dtype=np.uint64)] = True
+def circuit_meet_table(circuits, n):
+    """subset_meets of every mask below 2^n against the circuits, indexed by
+    mask: each circuit's own mask, spread upward one bit at a time."""
+    out = np.full(1 << n, ~np.uint64(0))
+    out[circuits] = circuits
     for b in range(n):
-        halves = dependent.reshape(-1, 2, 1 << b)
-        halves[:, 1] |= halves[:, 0]
+        halves = out.reshape(-1, 2, 1 << b)
+        halves[:, 1] &= halves[:, 0]
+    return out
+
+
+def circuit_rank_table(meets, n):
+    """circuit_ranks of every mask below 2^n, indexed by mask, from its
+    circuit_meet_table: a mask holds a circuit iff its meet is not all ones,
+    and the greedy basis of a mask with top bit b is that of the mask less b,
+    plus b unless that set holds a circuit."""
+    dependent = meets != ~np.uint64(0)
     basis = np.zeros(1 << n, dtype=np.uint64)
     for b in range(n):
         below = basis[: 1 << b]

@@ -13,14 +13,13 @@ are computed as whole arrays of masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 
 import numpy as np
 
 from . import kernels
 from .errors import CapExceeded, InvariantError
-from .masks import full_mask, popcount, singletons, to_labels
+from .masks import to_labels
 from .matroid import LinearMatroid, Matroid, UniformMatroid
 
 DEFAULT_SUBSET_CAP = 5_000_000
@@ -67,13 +66,15 @@ class CycleLadder:
 def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
     """All circuits, sorted by (cardinality, mask).
 
-    Circuit-defined matroids return their stored list and uniform matroids
-    the analytic one, whose size the cap bounds.  Otherwise they are found
-    in that order, skipping supersets of circuits found, as the minimal
-    supports of the p^(n-r) words of ker A for the matroid of a matrix A, or
-    as the dependent sets among all subsets of at most r + 1 elements,
-    whichever list is shorter; the cap bounds it before it is built.
+    Every structural layer starts here, so here a circuit list, or its dual,
+    is refused unless M.check_elimination passes.  Uniform matroids return
+    the analytic list, whose size the cap bounds.  Otherwise circuits are
+    found in that order, skipping supersets of circuits found,
+    as the minimal supports of the p^(n-r) words of ker A for the matroid of
+    a matrix A, or as the dependent sets among all subsets of at most r + 1
+    elements, whichever list is shorter; the cap bounds it before it is built.
     """
+    M.check_elimination(cap)
     if M._circuits is not None:
         return M._circuits
     if isinstance(M, UniformMatroid):
@@ -107,8 +108,9 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
 
     cap bounds the total number of candidate unions examined; huge ladders
     (duals of large-corank matroids, say) fail explicitly instead of
-    thrashing.  Raises InvariantError when the top level is not the single
-    set E minus the coloops, as for every matroid: the input is not one.
+    thrashing.  The top level is the single set E minus the coloops, as in
+    every matroid, and circuits() has refused every input that is not one,
+    so an InvariantError here is a fault of this code.
     """
     if M._ladder is not None:
         return M._ladder
@@ -142,30 +144,9 @@ def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
         top = int(np.bitwise_or.reduce(circ_arr, initial=np.uint64(0)))
         if levels[-1] != (top,):
             raise InvariantError(
-                f"ladder level {t} is not the single set E minus the coloops; "
-                "the input is not a matroid"
+                f"ladder level {t} is not the single set E minus the coloops"
             )
     lad = CycleLadder(tuple(levels))
     M._ladder = lad
     return lad
 
-
-def is_cycle(M: Matroid, masks) -> list[tuple[bool, int]]:
-    """For each mask, whether it is a cycle of positive nullity, with that
-    nullity; M.ranks is asked once for the whole batch.
-
-    This is the coloop test of M|X: X is a union of circuits iff no element
-    of X is a coloop of M|X, that is, iff deleting any one element lowers
-    the nullity.  Cycles of nullity l are exactly the level-l ladder members.
-    """
-    # X, then X - e for each e (M.ranks refuses X outside E; & keeps this finite)
-    blocks = [[mask, *(mask & ~bit for bit in singletons(mask & full_mask(M.n)))]
-              for mask in masks]
-    ranks = iter(M.ranks([query for block in blocks for query in block]).tolist())
-    out = []
-    for block in blocks:
-        rank, *rest = islice(ranks, len(block))
-        nl = popcount(block[0]) - rank
-        # deleting e leaves the rank unchanged iff e is not a coloop of M|X
-        out.append((nl > 0 and all(r == rank for r in rest), nl))
-    return out

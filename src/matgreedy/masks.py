@@ -50,14 +50,6 @@ def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
-def singletons(mask: int):
-    """Single-bit masks of mask's members, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
 def parse_chain(text: str, n: int) -> tuple[int, ...]:
     """Parse a chain given as "1,2|1,2,3,4|..." into subset masks."""
     parts = [p for p in text.split("|") if p.strip()]

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .errors import InputError, require
+from .errors import CapExceeded, InputError, require
 from .gfp import FieldMatrix, PrimeField
 from .masks import (
     MAX_GROUND_SET,
@@ -90,6 +90,9 @@ class Matroid:
         """Nullity of the whole ground set; indexes the weight hierarchies."""
         return self.n - self.full_rank
 
+    def check_elimination(self, cap: int) -> None:
+        """Refuse a circuit list that breaks elimination; other kinds pass."""
+
     def dual(self) -> "Matroid":
         """The dual, r*(X) = |X| + r(E-X) - r(E): a new object with its own
         caches on each call, but the dual of a dual is the matroid it wraps."""
@@ -151,15 +154,9 @@ class LinearMatroid(Matroid):
 
 class CircuitMatroid(Matroid):
     """Matroid given by its circuit list; rank by greedy basis growth, read
-    from one table of all 2^n ranks built on the first query when 2^n <=
-    kernels.CHUNK_ENTRIES.  The table keeps the greedy order, so a list that
-    breaks the circuit axioms gets the same ranks, and refusals, either way.
-
-    The antichain condition is checked here.  Circuit elimination is not,
-    although it needs only one union mask per pair of meeting circuits; a
-    list that breaks it is still refused once its ladder is built when the
-    top level is not the single set E minus the coloops (InvariantError,
-    exit 2), and validate_axioms gives an opt-in deeper check.
+    from a table of all 2^n ranks when 2^n <= kernels.CHUNK_ENTRIES.  The
+    antichain condition is checked here, and circuit elimination by
+    check_elimination, which ladder.circuits runs before it hands out the list.
     """
 
     kind = "circuits"
@@ -185,17 +182,56 @@ class CircuitMatroid(Matroid):
                 f"circuit list is not an antichain: "
                 f"{to_labels(small)} contained in {to_labels(big)}"
             )
-        self._circuits = tuple(circs)
+
+    @cached_property
+    def _meets(self) -> np.ndarray | None:
+        small = 1 << self.n <= kernels.CHUNK_ENTRIES
+        return kernels.circuit_meet_table(self._circ_arr, self.n) if small else None
 
     @cached_property
     def _table(self) -> np.ndarray | None:
-        small = 1 << self.n <= kernels.CHUNK_ENTRIES
-        return kernels.circuit_rank_table(self._circ_arr, self.n) if small else None
+        return None if self._meets is None else kernels.circuit_rank_table(self._meets, self.n)
 
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
         if self._table is None:
             return kernels.circuit_ranks(masks, self._circ_arr, self.n)
         return self._table[masks]
+
+    def check_elimination(self, cap: int) -> None:
+        """Decide circuit elimination once, and set _circuits if it holds:
+        it fails for circuits C1 != C2 exactly when some e in both lies in
+        every circuit inside C1 | C2 (Oxley, Matroid Theory, 2nd ed.).  cap
+        bounds the union tests of each batch of pairs before it runs.  The
+        refusal names the first failing pair, in (cardinality, mask) order,
+        and its least such e."""
+        if self._circuits is not None:
+            return
+        circs, meets, work = self._circ_arr, self._meets, 0
+        step = max(1, kernels.CHUNK_ENTRIES // max(1, circs.size))
+        for start in range(0, circs.size, step):
+            rows = circs[start : start + step, None]
+            # the unions of the pairs i < j of circuits that meet, in row-major order
+            pairs = np.triu((rows & circs) != 0, start + 1)
+            unions = (rows | circs)[pairs]
+            # a table read per union, or each distinct union against every circuit
+            tested = unions if meets is not None else kernels.distinct(unions)
+            work += tested.size * (1 if meets is not None else circs.size)
+            if work > cap:
+                raise CapExceeded(f"circuit elimination needs more than {cap} union tests")
+            # C1 and C2 lie inside the union, so this lies inside C1 & C2
+            if meets is None:
+                stuck = kernels.subset_meets(tested, circs)[np.searchsorted(tested, unions)]
+            else:
+                stuck = meets[unions]
+            if (bad := np.flatnonzero(stuck)).size:
+                i, j = (int(x[bad[0]]) for x in np.nonzero(pairs))
+                c1, c2, common = int(circs[start + i]), int(circs[j]), int(stuck[bad[0]])
+                e = common & -common
+                raise InputError(
+                    f"circuits {list(to_labels(c1))} and {list(to_labels(c2))} share "
+                    f"{to_labels(e)[0]}, but {list(to_labels((c1 | c2) & ~e))} holds no circuit"
+                )
+        self._circuits = tuple(circs.tolist())
 
 
 class UniformMatroid(Matroid):
@@ -228,6 +264,9 @@ class DualMatroid(Matroid):
     def _ranks(self, masks: np.ndarray) -> np.ndarray:
         comp = np.uint64(full_mask(self.n)) ^ masks
         return kernels.popcounts(masks) + self.inner._ranks(comp) - self.inner.full_rank
+
+    def check_elimination(self, cap: int) -> None:
+        self.inner.check_elimination(cap)
 
     def dual(self) -> "Matroid":
         return self.inner

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import require
-from .ladder import is_cycle, ladder
+from .ladder import ladder
 from .masks import is_subset, popcount, to_labels
 from .matroid import Matroid
 
@@ -183,6 +183,4 @@ def weight_report(M: Matroid) -> WeightReport:
     witness_d = tuple(level[0] for level in lad.levels)
     report = WeightReport(M.n, d, e, et, g, witness_d, chain_e, chain_et, pairs)
     report.validate()
-    for level_idx, (mask, verdict) in enumerate(zip(chain_e, is_cycle(M, chain_e)), start=1):
-        require(verdict == (True, level_idx), f"{to_labels(mask)} is no cycle")
     return report

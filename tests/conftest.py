@@ -19,6 +19,7 @@ from matgreedy.matroid import (
     from_parity_check,
     uniform,
 )
+from tests.paper_oracle import field_rank
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = FIXTURES.parent / "src"
@@ -85,7 +86,7 @@ def random_code(rng: np.random.Generator, p: int, n: int, k: int) -> LinearCode:
     """Random [n, k] code; resamples until the generator has full row rank."""
     while True:
         mat = random_field_matrix(rng, p, k, n)
-        if mat.rank() == k:
+        if field_rank(mat) == k:
             return LinearCode(mat)
 
 
@@ -106,6 +107,41 @@ def random_matroid(rng: np.random.Generator, n: int) -> Matroid:
 
         return from_circuits(n, list(circuits(M)))
     return M
+
+
+def random_circuit_lists(seed: int, count: int):
+    """Seeded random antichains of nonempty subsets of {1..n}, n in 3..7."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        drawn = {int(x) for x in rng.integers(1, 1 << n, size=int(rng.integers(1, 7)))}
+        anti = sorted(c for c in drawn if not any(o != c and o & ~c == 0 for o in drawn))
+        yield {"n": n, "circuits": [[b + 1 for b in range(n) if m >> b & 1] for m in anti]}
+
+
+# every command, as CLI arguments, that the seeded circuit lists are run through
+SWEEP = ("weights", "chained", "betti", "betti --values", "strands --chain 1|1,2",
+         "wei", "report", "validate")
+
+
+def sweep_circuit_lists() -> list[dict]:
+    """The 260 seeded lists every command is swept over: 154 matroids and
+    106 lists that break circuit elimination."""
+    return [*random_circuit_lists(6, 60), *random_circuit_lists(11, 200)]
+
+
+def elimination_failure(circuits) -> tuple[int, int, int] | None:
+    """The first pair C1, C2 of circuits (label lists), in (cardinality, mask)
+    order, and the least e in both, such that no circuit lies in
+    (C1 | C2) - e, as masks; None when circuit elimination holds."""
+    masks = sorted({_labels_to_mask(c) for c in circuits}, key=lambda c: (c.bit_count(), c))
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            for e in range((a & b).bit_length()):
+                rest = (a | b) & ~(1 << e)
+                if (a & b) >> e & 1 and not any(c & ~rest == 0 for c in masks):
+                    return a, b, 1 << e
+    return None
 
 
 def corpus_small(ternary84: Matroid) -> list[Matroid]:

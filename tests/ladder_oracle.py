@@ -4,20 +4,33 @@ bruteforce_ladder scans all 2^n subsets for the inclusion-minimal sets of
 each nullity, so `ladder(M) == bruteforce_ladder(M)` checks the theorem that
 the ladder's levels (cycles of each nullity) are exactly those minimal sets.
 chains_bruteforce is an exhaustive search over maximal ladder chains,
-independent of the frontier sweeps in matgreedy.weights.
+independent of the frontier sweeps in matgreedy.weights.  is_cycle tests
+cycles by the coloop test, independently of the ladder.  unchecked_circuits
+builds a circuit list past its elimination check, so that the invariants
+behind that check can be tested on inputs that break them.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
 from matgreedy.errors import CapExceeded
 from matgreedy.kernels import contains_any, distinct, popcounts
 from matgreedy.ladder import DEFAULT_SUBSET_CAP, CycleLadder, ladder
-from matgreedy.masks import is_subset, popcount
-from matgreedy.matroid import Matroid
+from matgreedy.masks import full_mask, is_subset, popcount
+from matgreedy.matroid import CircuitMatroid, Matroid, from_circuits
 
 DEFAULT_CHAIN_CAP = 5_000_000
+
+
+def singletons(mask: int):
+    """Single-bit masks of mask's members, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def filter_minimal(masks):
@@ -57,6 +70,14 @@ def bruteforce_ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
     return CycleLadder(
         tuple(_minimal_members(masks[nullity == i]) for i in range(1, M.corank + 1))
     )
+
+
+def unchecked_circuits(n: int, circuits) -> CircuitMatroid:
+    """A circuit list (masks or label lists) that circuits() hands out as
+    given, whether or not circuit elimination holds for it."""
+    M = from_circuits(n, circuits)
+    M._circuits = tuple(M._circ_arr.tolist())
+    return M
 
 
 def chains_bruteforce(
@@ -115,3 +136,24 @@ def chains_bruteforce(
         prefix = nxt
     revlex_min = min(prefix.values(), key=revkey)
     return lex_min, revlex_min
+
+
+def is_cycle(M: Matroid, masks) -> list[tuple[bool, int]]:
+    """For each mask, whether it is a cycle of positive nullity, with that
+    nullity; M.ranks is asked once for the whole batch.
+
+    This is the coloop test of M|X: X is a union of circuits iff no element
+    of X is a coloop of M|X, that is, iff deleting any one element lowers
+    the nullity.  Cycles of nullity l are exactly the level-l ladder members.
+    """
+    # X, then X - e for each e (M.ranks refuses X outside E; & keeps this finite)
+    blocks = [[mask, *(mask & ~bit for bit in singletons(mask & full_mask(M.n)))]
+              for mask in masks]
+    ranks = iter(M.ranks([query for block in blocks for query in block]).tolist())
+    out = []
+    for block in blocks:
+        rank, *rest = islice(ranks, len(block))
+        nl = popcount(block[0]) - rank
+        # deleting e leaves the rank unchanged iff e is not a coloop of M|X
+        out.append((nl > 0 and all(r == rank for r in rest), nl))
+    return out

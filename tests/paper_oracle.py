@@ -7,7 +7,8 @@
   chain from a ladder chain of M, and complement_profile gives its
   cardinalities.
 - A code's matroid has nullity(X) = dimension of the subcode supported inside
-  X: shortened_subcode computes that subcode from the generator matrix.
+  X: shortened_subcode computes that subcode from the generator matrix, with
+  the GF(p) rank and canonical kernel basis of field_rank and kernel_basis.
 
 None of these is on a production path; the tests compare them with the
 library's one route for each idea.
@@ -17,13 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from matgreedy import kernels
 from matgreedy.betti import betti_support, strand_nonzero
 from matgreedy.codes import LinearCode
 from matgreedy.errors import InputError
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import ladder
-from matgreedy.masks import full_mask, is_subset, popcount, singletons, to_labels
+from matgreedy.masks import full_mask, is_subset, popcount, to_labels
 from matgreedy.matroid import Matroid
+from tests.ladder_oracle import singletons
 
 
 def greedy_from_strands(
@@ -118,6 +121,21 @@ def columns(mat: FieldMatrix, mask: int) -> FieldMatrix:
     return FieldMatrix(mat.field, mat.data[:, [lab - 1 for lab in to_labels(mask)]])
 
 
+def field_rank(m: FieldMatrix) -> int:
+    """Rank of m over GF(p)."""
+    return kernels.rref_mod_p(m.data.copy(), m.p)[0]
+
+
+def kernel_basis(m: FieldMatrix) -> FieldMatrix:
+    """Basis of the right null space {v : m @ v = 0}, as matrix rows in
+    reduced echelon form, so a canonical function of m; no rows for full
+    column rank."""
+    rref, pivots = m.rref()
+    basis = kernels.null_basis(rref.data, pivots, m.p)[0]
+    kernels.rref_mod_p(basis, m.p)
+    return FieldMatrix(m.field, basis)
+
+
 def shortened_subcode(C: LinearCode, X: int) -> FieldMatrix:
     """Canonical basis of the subcode supported inside X.
 
@@ -126,7 +144,7 @@ def shortened_subcode(C: LinearCode, X: int) -> FieldMatrix:
     re-encoded to codewords.
     """
     g_out = columns(C.generator, full_mask(C.n) & ~X)
-    msgs = g_out.transpose().kernel_basis()  # rows: messages m with m @ g_out = 0
+    msgs = kernel_basis(FieldMatrix(g_out.field, g_out.data.T))  # messages m with m @ g_out = 0
     words = (msgs.data @ C.generator.data) % C.p
     return FieldMatrix(C.generator.field, words).rref()[0]
 

@@ -18,10 +18,10 @@ from matgreedy.betti import (
     strand_nonzero,
 )
 from matgreedy.cli import RunConfig, run
-from matgreedy.errors import CapExceeded, InputError
+from matgreedy.errors import CapExceeded, InputError, InvariantError
 from matgreedy.ladder import ladder
 from matgreedy.masks import from_labels, full_mask, popcount
-from matgreedy.matroid import uniform
+from matgreedy.matroid import from_circuits, uniform
 from matgreedy.weights import (
     greedy_bottom_up,
     greedy_cez,
@@ -36,6 +36,7 @@ from tests.homology_oracle import (
     reduced_betti_all,
     reduced_betti_single,
 )
+from tests.ladder_oracle import unchecked_circuits
 from tests.paper_oracle import greedy_from_strands
 
 E8 = full_mask(8)
@@ -252,6 +253,18 @@ def test_mobius_int64_guard(monkeypatch, ternary84):
     path = str(FIXTURES / "ternary84.json")
     status, out = run(RunConfig(command="betti", input_path=path, values=True))
     assert status == 3 and "int64" in out
+
+
+# breaks circuit elimination; past that check, mu(0, {1,2,3,4}) comes out 0,
+# which no geometric lattice has
+MOBIUS_PLANTED = (4, [[1, 2], [1, 3], [1, 4], [2, 3, 4]])
+
+
+def test_mobius_sign_guard():
+    with pytest.raises(InputError, match="holds no circuit"):
+        betti_values(from_circuits(*MOBIUS_PLANTED))
+    with pytest.raises(InvariantError, match=r"\(3, \(1, 2, 3, 4\)\) has mu = 0"):
+        betti_values(unchecked_circuits(*MOBIUS_PLANTED))
 
 
 def test_strand_nonzero_cases(ternary84):

@@ -20,8 +20,16 @@ from matgreedy.errors import InputError
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import DEFAULT_SUBSET_CAP, circuits
 from matgreedy.masks import to_labels
-from matgreedy.matroid import from_generator
-from tests.conftest import FIXTURES, format_matrix, random_code
+from matgreedy.matroid import from_descriptor, from_generator, validate_axioms
+from tests.conftest import (
+    FIXTURES,
+    SWEEP,
+    elimination_failure,
+    format_matrix,
+    random_circuit_lists,
+    random_code,
+    sweep_circuit_lists,
+)
 from tests.test_betti import hilbert_numerator_order
 
 TERNARY84 = str(FIXTURES / "ternary84.json")
@@ -182,13 +190,15 @@ def test_dump_ladder_flag():
 
 
 def test_chained_refuses_what_weights_refuses(tmp_path):
-    # not a matroid ({1,2,3,4} and {1,2,5} eliminate to no circuit); the
-    # verdict is read off the weight report, whose witness guard refuses it
+    # not a matroid: {1,2,5} and {1,2,3,4} eliminate to no circuit
     path = tmp_path / "circuits.json"
     path.write_text('{"type": "circuits", "n": 5, "circuits": [[1, 2, 3, 4], [1, 2, 5]]}')
     status, out = run(RunConfig("chained", str(path)))
     assert (status, out) == run(RunConfig("weights", str(path)))
-    assert status == 2 and out.startswith("internal invariant failure:")
+    assert (status, out) == (
+        1, "input error: circuits [1, 2, 5] and [1, 2, 3, 4] share 1, "
+        "but [2, 3, 4, 5] holds no circuit\n"
+    )
 
 
 def test_validate_dump_ladder_after_failed_axioms(tmp_path):
@@ -329,12 +339,14 @@ def test_betti_values_m23():
 
 
 def test_betti_values_refuse_non_matroid_circuits(tmp_path):
-    # {1,2},{1,3},{1,4},{2,3,4} violate circuit elimination; the Moebius
-    # value of {1,2,3,4} comes out 0, which no matroid has
+    # {1,2},{1,3},{1,4},{2,3,4} violate circuit elimination, and are refused
+    # before the Moebius values are computed
     path = tmp_path / "planted.json"
     path.write_text('{"type":"circuits","n":4,"circuits":[[1,2],[1,3],[1,4],[2,3,4]]}')
     status, out = run(RunConfig(command="betti", input_path=str(path), values=True))
-    assert status == 2 and out.startswith("internal invariant failure:")
+    assert (status, out) == (
+        1, "input error: circuits [1, 2] and [1, 3] share 1, but [2, 3] holds no circuit\n"
+    )
 
 
 def test_table_format():
@@ -389,7 +401,7 @@ def test_betti_table_computes_values_once(monkeypatch):
 def test_validate_rejects_non_matroid_circuits(tmp_path):
     # each list violates circuit elimination ({1,2} and {1,3}, say), so the
     # greedy rank oracle is not a matroid rank; validate reports it and exits
-    # 2, before anything builds a ladder, which would fail its own invariant
+    # 2, before its circuits are checked
     path = tmp_path / "planted.json"
     path.write_text('{"type":"circuits","n":3,"circuits":[[1,2],[1,3]]}')
     status, doc = run_cmd("validate", str(path))
@@ -403,22 +415,25 @@ def test_validate_rejects_non_matroid_circuits(tmp_path):
         assert doc["axioms"]["ok"] is False and doc["axioms"]["violations"]
 
 
+def test_validate_refuses_what_sampled_axioms_miss(tmp_path):
+    # two 15-element circuits meeting in 15, with no circuit in their union
+    # less 15: every set that shows it is too large for the 4,096 samples at
+    # n = 30, so the axioms pass and the elimination check refuses the list
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"type": "circuits", "n": 30, "circuits": [list(range(1, 16)), list(range(15, 30))]}
+    ))
+    assert validate_axioms(from_descriptor(json.loads(path.read_text()))).ok
+    status, out = run(RunConfig("validate", str(path)))
+    assert status == 1 and out.startswith("input error: circuits [1, 2, 3, 4, 5, 6, 7, 8, 9, 10")
+    assert out.rstrip().endswith("holds no circuit") and " share 15, " in out
+
+
 PLANTED = '{"type":"circuits","n":4,"circuits":[[3,4],[2],[1,3]]}'
 
 
-def random_circuit_lists(seed: int, count: int):
-    """Seeded random antichains of nonempty subsets of {1..n}, n in 3..7."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(3, 8))
-        drawn = {int(x) for x in rng.integers(1, 1 << n, size=int(rng.integers(1, 7)))}
-        anti = sorted(c for c in drawn if not any(o != c and o & ~c == 0 for o in drawn))
-        yield {"n": n, "circuits": [[b + 1 for b in range(n) if m >> b & 1] for m in anti]}
-
-
 def test_exit_contract_on_random_circuit_lists(tmp_path):
-    # about half of these violate circuit elimination; the planted list's
-    # dual has an empty ladder level 2
+    # about half of these violate circuit elimination, the planted list too
     path = tmp_path / "circuits.json"
     refused = 0
     for desc in [json.loads(PLANTED), *random_circuit_lists(6, 60)]:
@@ -434,7 +449,7 @@ def test_exit_contract_on_random_circuit_lists(tmp_path):
     path.write_text(PLANTED)
     for command in ("wei", "report", "weights"):
         status, out = run(RunConfig(command, str(path)))
-        assert status == 2 and out.startswith("internal invariant failure:")
+        assert status == 1 and out.startswith("input error: circuits [1, 3] and [3, 4]")
 
 
 json_values = st.recursive(
@@ -542,24 +557,38 @@ def test_exit_contract_on_any_flags(command, inputs, flags):
     assert "usage:" not in err.getvalue()
 
 
-def test_ladder_invariant_fires_under_optimize(tmp_path):
+def test_ladder_invariant_fires_under_optimize():
+    # the ladder's top level and the Moebius signs guard program faults, not
+    # inputs: they are reached past the elimination check, and raise
+    # InvariantError, not an assert, so python -O keeps them
     import subprocess
     import sys
 
-    path = tmp_path / "planted.json"
-    path.write_text(PLANTED)
-    for command in ("wei", "report"):
-        cmd = [sys.executable, "-O", "-m", "matgreedy", command, str(path)]
-        done = subprocess.run(cmd, capture_output=True, text=True)
-        assert done.returncode == 2
-        assert done.stderr.startswith("internal invariant failure:")
-        assert "Traceback" not in done.stderr
+    script = (
+        "from matgreedy.betti import betti_values\n"
+        "from matgreedy.errors import InvariantError\n"
+        "from matgreedy.ladder import ladder\n"
+        "from tests.ladder_oracle import unchecked_circuits\n"
+        "from tests.test_betti import MOBIUS_PLANTED\n"
+        "from tests.test_ladder import PLANTED\n"
+        "for build, planted in ((ladder, PLANTED), (betti_values, MOBIUS_PLANTED)):\n"
+        "    try:\n"
+        "        build(unchecked_circuits(*planted))\n"
+        "    except InvariantError as exc:\n"
+        "        print('refused:', exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, cwd=FIXTURES.parent)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "refused: ladder level 2 is not the single set E minus the coloops",
+        "refused: support pair (3, (1, 2, 3, 4)) has mu = 0, want a nonzero value of sign (-1)^3",
+    ]
 
 
 def test_wei_refuses_non_matroid_circuit_lists(tmp_path):
-    # the flats walk checks the rank of every cover it closes, which refuses
-    # 80 of the 81 lists that fail validate here (building the dual's ladder
-    # refused 59); every matroid still passes
+    # the 81 lists that fail validate here are refused at load; every
+    # matroid still passes
     path = tmp_path / "circuits.json"
     accepted = {True: 0, False: 0}
     total = {True: 0, False: 0}
@@ -567,11 +596,54 @@ def test_wei_refuses_non_matroid_circuit_lists(tmp_path):
         path.write_text(json.dumps({"type": "circuits", **desc}))
         is_matroid = run(RunConfig("validate", str(path)))[0] == 0
         status, out = run(RunConfig("wei", str(path)))
-        assert status in (0, 2), (desc, out)
+        assert status in (0, 1), (desc, out)
         total[is_matroid] += 1
         accepted[is_matroid] += status == 0
     assert total == {True: 119, False: 81}
-    assert accepted[True] == 119 and accepted[False] <= 1
+    assert accepted == {True: 119, False: 0}
+
+
+def _argv_result(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_non_matroid_circuit_lists_are_refused_at_load(tmp_path):
+    # every command on the 106 seeded lists that break circuit elimination,
+    # and on their duals, exits 1 with the refusal circuits() gives, naming
+    # a pair and an element; validate keeps its failed axioms report (exit
+    # 2).  The 154 matroids are pinned by tests/test_golden.py.
+    path = tmp_path / "circuits.json"
+    refused = [d for d in sweep_circuit_lists() if elimination_failure(d["circuits"])]
+    assert len(refused) == 106
+    for desc in refused:
+        plain = {"type": "circuits", **desc}
+        with pytest.raises(InputError, match="^circuits .* share .* holds no circuit$") as exc:
+            circuits(from_descriptor({"type": "dual", "of": plain}))
+        for wrapped in (plain, {"type": "dual", "of": plain}):
+            path.write_text(json.dumps(wrapped))
+            for config in SWEEP:
+                command, *flags = config.split()
+                status, out, err = _argv_result([command, str(path), *flags])
+                if command == "validate":
+                    assert status == 2 and not json.loads(out)["axioms"]["ok"], desc
+                else:
+                    assert (status, out, err) == (1, "", f"input error: {exc.value}\n"), desc
+
+
+def test_hamming_15_11_validates_under_the_default_cap(tmp_path):
+    # validate decides circuit elimination, which a matrix passes unread, not
+    # the ladder, whose 11 levels cost more than the cap in candidate unions
+    columns = [[b >> i & 1 for i in range(4)] for b in range(1, 16)]
+    path = tmp_path / "hamming.json"
+    matrix = [list(row) for row in zip(*columns)]
+    path.write_text(json.dumps({"type": "linear", "p": 2, "matrix": matrix}))
+    status, doc = run_cmd("validate", str(path))
+    assert status == 0 and doc == {"axioms": doc["axioms"]} and doc["axioms"]["ok"]
+    status, out = run(RunConfig("validate", str(path), dump_ladder=True))
+    assert status == 3 and out.startswith("cap exceeded: ladder generation")
 
 
 def _refuse(*args):

@@ -1,13 +1,15 @@
 """Golden output: the sha256 of (exit code, stdout) of every fixture under
 its command configurations, run in-process through the console entry point,
-and the sha256 of the --help text of the parser and of each command.
-In a configuration, the token @e stands for the fixture's bottom-up witness
-chain e, written as a --chain argument.
+the sha256 of the --help text of the parser and of each command, and one
+sha256 over every command on the seeded circuit lists that are matroids,
+each given plain and as a dual descriptor.  In a configuration, the token
+@e stands for the fixture's bottom-up witness chain e, written as a --chain
+argument.
 
 A change that should keep the CLI's output must pass this file unchanged;
 a change that alters output on purpose updates the hashes and says why.
-`python -m tests.test_golden` prints the current GOLDEN and HELP tables, so
-new or changed pins are pasted from one run.
+`python -m tests.test_golden` prints the current GOLDEN and HELP tables and
+MATROID_SWEEP, so new or changed pins are pasted from one run.
 """
 
 from __future__ import annotations
@@ -15,14 +17,17 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from matgreedy.cli import COMMANDS, _load_input, main
 from matgreedy.masks import to_labels
 from matgreedy.weights import weight_report
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, SWEEP, elimination_failure, sweep_circuit_lists
 
 EVERY = (
     "weights", "weights --dump-ladder", "chained", "betti", "betti --values",
@@ -124,6 +129,10 @@ HELP = {
     "validate": "026a5886109e07453a875b28fa5d9466a67dbfb60d18121265a273b170aa0a3a",
 }
 
+# SWEEP on the 154 matroids of sweep_circuit_lists and their duals, pinned
+# before non-matroid lists were refused at load
+MATROID_SWEEP = "15a52d8cb4336da7850d7ac8cdde0d376900ecd4bf0a779c0a15a2171ebf2471"
+
 
 def output_digest(fixture: str, config: str) -> str:
     command, *flags = config.split()
@@ -137,6 +146,27 @@ def output_digest(fixture: str, config: str) -> str:
     with contextlib.redirect_stdout(out):
         status = main([command, str(FIXTURES / fixture), *flags])
     return hashlib.sha256(f"{status}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def matroid_sweep_digest() -> str:
+    """One sha256 over (exit code, stdout) of every SWEEP command on every
+    matroid of sweep_circuit_lists, plain and as a dual descriptor."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "circuits.json"
+        for desc in sweep_circuit_lists():
+            if elimination_failure(desc["circuits"]):
+                continue
+            plain = {"type": "circuits", **desc}
+            for wrapped in (plain, {"type": "dual", "of": plain}):
+                path.write_text(json.dumps(wrapped))
+                for config in SWEEP:
+                    command, *flags = config.split()
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        status = main([command, str(path), *flags])
+                    digest.update(f"{status}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
 
 
 def help_digest(command: str) -> str:
@@ -159,6 +189,10 @@ def test_golden_output(fixture, config):
     assert output_digest(fixture, config) == GOLDEN.get((fixture, config))
 
 
+def test_golden_matroid_sweep():
+    assert matroid_sweep_digest() == MATROID_SWEEP
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     print("GOLDEN = {")
@@ -167,4 +201,4 @@ if __name__ == "__main__":
     print("}\n\n\nHELP = {")
     for command in HELP_COMMANDS:
         print(f"    {command!r}: {help_digest(command)!r},".replace("'", '"'))
-    print("}")
+    print("}\n\n\nMATROID_SWEEP = " + repr(matroid_sweep_digest()).replace("'", '"'))

@@ -8,20 +8,24 @@ from math import comb
 import numpy as np
 import pytest
 
-from matgreedy.errors import CapExceeded, InputError
-from matgreedy.ladder import circuits, is_cycle, ladder, unions
+from matgreedy.errors import CapExceeded, InputError, InvariantError
+from matgreedy.ladder import circuits, ladder, unions
 from matgreedy.masks import (
     from_labels,
     full_mask,
     is_subset,
     popcount,
-    singletons,
     to_labels,
 )
 from matgreedy.matroid import from_circuits, from_parity_check, uniform
 from matgreedy.gfp import FieldMatrix
 from tests.conftest import random_matroid
-from tests.ladder_oracle import bruteforce_ladder
+from tests.ladder_oracle import bruteforce_ladder, is_cycle, singletons, unchecked_circuits
+
+# breaks circuit elimination ({1,3} and {3,4} share 3, but {1,4} holds no
+# circuit); past that check, its greedy ranks give a top level of nullity 2
+# that is not E minus the coloops
+PLANTED = (4, [[3, 4], [2], [1, 3]])
 
 
 def test_free_matroid_empty_ladder():
@@ -237,3 +241,12 @@ def test_capped_unions_trip_exactly_when_all_unions_exceed_the_cap(seed):
         else:
             # stopped at a merge: fewer sets than the full count, but sorted and distinct
             assert got.size <= every.size and (np.diff(got.astype(np.int64)) > 0).all()
+
+
+def test_ladder_top_level_guard():
+    # circuits() refuses the list; past that check, the ladder's own
+    # invariant still catches it
+    with pytest.raises(InputError, match="holds no circuit"):
+        ladder(from_circuits(*PLANTED))
+    with pytest.raises(InvariantError, match="level 2 is not the single set E minus the coloops"):
+        ladder(unchecked_circuits(*PLANTED))

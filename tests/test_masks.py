@@ -11,9 +11,9 @@ from matgreedy.masks import (
     is_subset,
     parse_chain,
     popcount,
-    singletons,
     to_labels,
 )
+from tests.ladder_oracle import singletons
 
 
 def test_label_roundtrip():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from matgreedy import kernels
-from matgreedy.errors import InputError
+from matgreedy.errors import CapExceeded, InputError
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import circuits
 from matgreedy.masks import from_labels, full_mask, popcount, to_labels
@@ -20,7 +20,14 @@ from matgreedy.matroid import (
     uniform,
     validate_axioms,
 )
-from tests.conftest import TERNARY84_GENERATOR_ROWS, random_code, random_matroid
+from tests.conftest import (
+    TERNARY84_GENERATOR_ROWS,
+    elimination_failure,
+    random_code,
+    random_matroid,
+    sweep_circuit_lists,
+)
+from tests.paper_oracle import kernel_basis
 
 
 class TableMatroid(Matroid):
@@ -66,7 +73,7 @@ def test_ternary84_circuits(ternary84):
 
 
 def test_ternary84_from_parity_check_agrees(ternary84, ternary84_generator):
-    h = ternary84_generator.kernel_basis()
+    h = kernel_basis(ternary84_generator)
     M2 = from_parity_check(h)
     for mask in all_masks(8):
         assert M2.rank(mask) == ternary84.rank(mask)
@@ -122,7 +129,7 @@ def test_antichain_refusal_matches_pairwise_definition():
             None,
         )
         if first is None:
-            assert circuits(from_circuits(n, masks)) == tuple(circs)
+            assert from_circuits(n, masks)._circ_arr.tolist() == circs
             continue
         refused += 1
         with pytest.raises(InputError) as exc:
@@ -132,6 +139,71 @@ def test_antichain_refusal_matches_pairwise_definition():
             f"circuit list is not an antichain: {to_labels(a)} contained in {to_labels(b)}"
         )
     assert 0 < refused < 400
+
+
+def _elimination_verdict(n, circs):
+    """The circuits circuits() hands out, or the message it refuses them with."""
+    try:
+        return circuits(from_circuits(n, circs))
+    except InputError as exc:
+        return str(exc)
+
+
+def test_elimination_refusal_matches_pairwise_definition(monkeypatch):
+    """Acceptance, and the pair and element a refusal names, agree with the
+    scan of every pair of circuits and shared element, on the rank-table
+    route and on the containment route."""
+    lists = [(d["n"], d["circuits"]) for d in sweep_circuit_lists()]
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(8, 11))
+        drawn = set(rng.integers(1, 1 << n, int(rng.integers(2, 12))).tolist())
+        anti = [c for c in drawn if not any(o != c and o & ~c == 0 for o in drawn)]
+        lists.append((n, [to_labels(c) for c in anti]))
+    by_table = [_elimination_verdict(n, circs) for n, circs in lists]
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 4)  # below 2^3: no rank table
+    monkeypatch.setattr(kernels, "circuit_meet_table", lambda *a: pytest.fail("table built"))
+    assert [_elimination_verdict(n, circs) for n, circs in lists] == by_table
+    refused = 0
+    for (n, circs), verdict in zip(lists, by_table):
+        failure = elimination_failure(circs)
+        if failure is None:
+            want = sorted({from_labels(c) for c in circs}, key=lambda c: (popcount(c), c))
+            assert verdict == tuple(want)
+            continue
+        refused += 1
+        a, b, e = failure
+        assert verdict == (
+            f"circuits {list(to_labels(a))} and {list(to_labels(b))} share "
+            f"{to_labels(e)[0]}, but {list(to_labels((a | b) & ~e))} holds no circuit"
+        )
+    assert refused > 150
+
+
+def test_elimination_is_decided_once_under_its_cap(monkeypatch):
+    # U(5,7)'s circuits are the seven 6-subsets; any two meet, with union E:
+    # the table route reads the 21 unions, and the containment route tests
+    # the one distinct union against each circuit
+    want = circuits(uniform(5, 7))
+    C = from_circuits(7, want)
+    with pytest.raises(CapExceeded, match="more than 20 union tests"):
+        circuits(C, cap=20)
+    assert C._circuits is None
+    first = circuits(C, cap=21)
+    # decided once: a second call neither checks nor reads its cap
+    assert first == want and circuits(C, cap=1) is first
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 64)
+    D = from_circuits(7, want)
+    with pytest.raises(CapExceeded, match="more than 6 union tests"):
+        circuits(D, cap=6)
+    assert circuits(D, cap=7) == want
+
+
+def test_elimination_tests_each_distinct_union_once():
+    # U(12,16) as a list: 560 circuits, whose 156,520 pairs have 137 distinct
+    # unions, so the containment route stays far below the default cap
+    want = circuits(uniform(12, 16))
+    assert circuits(from_circuits(16, want)) == want
 
 
 def test_m23_rank(m23):
@@ -184,7 +256,7 @@ def test_generator_parity_agreement_random_codes():
         k = int(rng.integers(1, min(n, 5)))
         code = random_code(rng, p, n, k)
         g = code.generator
-        h = g.kernel_basis()
+        h = kernel_basis(g)
         Mg = from_generator(g)
         Mh = from_parity_check(h)
         for mask in all_masks(n):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from matgreedy import cli, kernels
-from matgreedy.errors import CapExceeded, InputError, InvariantError
+from matgreedy.errors import CapExceeded, InputError
 from matgreedy.ladder import circuits, ladder
 from matgreedy.masks import from_labels, full_mask, is_subset, popcount
 from matgreedy.matroid import from_circuits, from_parity_check, uniform
@@ -298,11 +298,10 @@ def test_rank_scan_cap_counts_subsets(ternary84):
     assert dual_hamming_weights(ternary84, cap=256) == (2, 4, 6, 8)
 
 
-def test_dual_sides_refuse_non_matroid_circuits():
-    # both lists break circuit elimination.  For {1,3},{2,3} the greedy rank
-    # makes cl({3}) = E a cover of rank 2 above the empty flat; for
-    # {1,2},{1,3} it gives r(E) = 1 but r({2,3}) = 2
-    with pytest.raises(InvariantError, match="is not of rank k \\+ 1"):
-        dual_greedy_top_down(from_circuits(3, [[1, 3], [2, 3]]))
-    with pytest.raises(InvariantError, match="rank above r\\(E\\) = 1"):
-        dual_hamming_weights(from_circuits(3, [[1, 2], [1, 3]]))
+def test_rank_scan_refuses_non_matroid_circuits():
+    # {1,2},{1,3} breaks circuit elimination: its greedy r(E) = 1 but
+    # r({2,3}) = 2, so the rank scan, reached directly or through the dual,
+    # refuses it before reading any rank
+    for M in (from_circuits(3, [[1, 2], [1, 3]]), from_circuits(3, [[1, 2], [1, 3]]).dual()):
+        with pytest.raises(InputError, match="share 1, but \\[2, 3\\] holds no circuit"):
+            dual_hamming_weights(M)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from matgreedy.errors import CapExceeded
-from matgreedy.ladder import is_cycle
 from matgreedy.masks import from_labels, full_mask, is_subset, popcount
 from matgreedy.matroid import Matroid, from_circuits, uniform
 from matgreedy.weights import (
@@ -19,7 +18,7 @@ from matgreedy.weights import (
     weight_report,
 )
 from tests.conftest import random_matroid
-from tests.ladder_oracle import chains_bruteforce
+from tests.ladder_oracle import chains_bruteforce, is_cycle
 
 
 def unrestricted_chain_minima(M: Matroid):
