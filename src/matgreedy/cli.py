@@ -3,7 +3,9 @@
 Input files are either a JSON matroid descriptor or a code file (role header
 line plus matrix text).  All structured output is JSON with sorted keys and
 ascending subsets, so a fixed input and flag set always produces identical
-bytes; tables are a human rendering of the same data.
+bytes; tables are a human rendering of the same data.  JSON output is exactly
+json.dumps(doc, indent=2, sort_keys=True) plus a newline, built from the C
+encoder's one-line text (_render_json); tests/test_golden.py pins the bytes.
 
 Exit codes: 0 success, 1 input error (usage errors and non-matroid circuit
 lists included), 2 failed identity, check or invariant, 3 cap exceeded.
@@ -17,6 +19,8 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import betti as betti_mod
 from . import codes as codes_mod
@@ -60,6 +64,39 @@ def _load_input(path: str) -> tuple[Matroid, codes_mod.LinearCode | None]:
         return from_descriptor(stripped), None
     code = codes_mod.parse_code_file(text)
     return code.matroid(), code
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "))
+
+
+def _render_json(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), from the C encoder's text.
+
+    CPython encodes in C only without an indent.  That ASCII text is the
+    indented one less every newline-and-indent, so they go back in one pass:
+    a break follows each non-empty opener and each comma, and precedes each
+    closer of a non-empty container, at the lower depth of its two sides.
+    """
+    text = _ENCODER.encode(doc)
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    quote = b == ord('"')
+    if "\\" in text:
+        # a quote is escaped when an odd run of backslashes precedes it
+        at = np.arange(b.size)
+        plain = np.maximum.accumulate(np.where(b == ord("\\"), -1, at))
+        quote[1:] &= (at[:-1] - plain[:-1]) % 2 == 0
+    outside = np.bitwise_xor.accumulate(quote.view(np.uint8)) == 0
+    opener = outside & ((b == ord("[")) | (b == ord("{")))
+    closer = outside & ((b == ord("]")) | (b == ord("}")))
+    depth = np.cumsum(opener.view(np.int8) - closer.view(np.int8), dtype=np.int64)
+    breaks = (outside[:-1] & (b[:-1] == ord(","))) | (opener[:-1] ^ closer[1:])
+    # the break after byte i, if any: a newline and two spaces per level
+    width = np.zeros(b.size, dtype=np.int64)
+    width[1:] = np.where(breaks, 1 + 2 * np.minimum(depth[:-1], depth[1:]), 0).cumsum()
+    out = np.full(b.size + width[-1], ord(" "), dtype=np.uint8)
+    out[np.arange(b.size) + width] = b
+    out[np.flatnonzero(breaks) + width[:-1][breaks] + 1] = ord("\n")
+    return out.tobytes().decode("ascii")
 
 
 def _render_table(doc: dict) -> str:
@@ -249,7 +286,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     status = 2 if command.fails(doc) else 0
     if config.fmt == "table":
         return status, command.table(doc)
-    return status, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return status, _render_json(doc) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -41,20 +41,36 @@ def popcounts(masks) -> np.ndarray:
     return np.bitwise_count(np.asarray(masks, dtype=np.uint64)).astype(np.int64)
 
 
-def distinct(masks, counts: bool = False):
+def distinct(masks, counts: bool = False, inverse: bool = False):
     """Sorted distinct values of a mask array; with counts, also how often
-    each occurs, as int64.
+    each occurs, as int64; with inverse, also the index of each mask among
+    them.  With both, the tuple is (values, counts, inverse).
 
     Used instead of np.unique, which imports numpy.ma (about 2 MB) on its
     first call.
     """
-    masks = np.sort(np.asarray(masks, dtype=np.uint64))
+    masks = np.asarray(masks, dtype=np.uint64)
+    order = np.argsort(masks) if inverse else None
+    masks = masks[order] if inverse else np.sort(masks)
     first = np.ones(masks.shape[0], dtype=bool)
     first[1:] = masks[1:] != masks[:-1]
-    if not counts:
-        return masks[first]
-    starts = np.flatnonzero(first)
-    return masks[starts], np.diff(starts, append=masks.shape[0])
+    out = [masks[first]]
+    if counts:
+        out.append(np.diff(np.flatnonzero(first), append=masks.shape[0]))
+    if inverse:
+        where = np.empty_like(order)
+        where[order] = np.cumsum(first) - 1
+        out.append(where)
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def lookup(table, keys):
+    """Index of each key in a sorted uint64 table, and whether it is there;
+    the index of a key that is not there is meaningless."""
+    at = np.searchsorted(table, keys)
+    found = at < table.size
+    found[found] = table[at[found]] == keys[found]
+    return at, found
 
 
 def rref_mod_p(a, p):

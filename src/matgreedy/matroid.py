@@ -201,26 +201,34 @@ class CircuitMatroid(Matroid):
         """Decide circuit elimination once, and set _circuits if it holds:
         it fails for circuits C1 != C2 exactly when some e in both lies in
         every circuit inside C1 | C2 (Oxley, Matroid Theory, 2nd ed.).  cap
-        bounds the union tests of each batch of pairs before it runs.  The
+        bounds the union tests so far before each batch of pairs runs.  The
         refusal names the first failing pair, in (cardinality, mask) order,
         and its least such e."""
         if self._circuits is not None:
             return
         circs, meets, work = self._circ_arr, self._meets, 0
+        tested = np.empty(0, dtype=np.uint64)  # sorted; each passed in an earlier batch
         step = max(1, kernels.CHUNK_ENTRIES // max(1, circs.size))
         for start in range(0, circs.size, step):
             rows = circs[start : start + step, None]
             # the unions of the pairs i < j of circuits that meet, in row-major order
             pairs = np.triu((rows & circs) != 0, start + 1)
             unions = (rows | circs)[pairs]
-            # a table read per union, or each distinct union against every circuit
-            tested = unions if meets is not None else kernels.distinct(unions)
-            work += tested.size * (1 if meets is not None else circs.size)
+            # a table read per union, or each union not yet tested against every circuit
+            if meets is None:
+                fresh = kernels.distinct(unions)
+                fresh = fresh[~kernels.lookup(tested, fresh)[1]]
+                work += fresh.size * circs.size
+            else:
+                work += unions.size
             if work > cap:
                 raise CapExceeded(f"circuit elimination needs more than {cap} union tests")
             # C1 and C2 lie inside the union, so this lies inside C1 & C2
             if meets is None:
-                stuck = kernels.subset_meets(tested, circs)[np.searchsorted(tested, unions)]
+                at, new = kernels.lookup(fresh, unions)
+                stuck = np.zeros_like(unions)
+                stuck[new] = kernels.subset_meets(fresh, circs)[at[new]]
+                tested = np.sort(np.concatenate([tested, fresh]))
             else:
                 stuck = meets[unions]
             if (bad := np.flatnonzero(stuck)).size:
@@ -331,9 +339,13 @@ def validate_axioms(M: Matroid, seed: int = 0, samples: int = 4096) -> AxiomRepo
     """
     n = M.n
     exhaustive = n <= 12
+    bits = [1 << b for b in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # X, X+a and X+a+b for every X checked and elements a < b
+    grow = np.array([0, *bits, *(bits[i] | bits[j] for i, j in pairs)], dtype=np.uint64)
     if exhaustive:
         sets = np.arange(1 << n, dtype=np.uint64)
-        rank_of = M.ranks(sets).__getitem__
+        rx = table = M.ranks(sets)
     else:
         rng = np.random.default_rng(seed)
         # int64 draws hold 63 bits; element 64 comes from a second, later draw,
@@ -341,36 +353,48 @@ def validate_axioms(M: Matroid, seed: int = 0, samples: int = 4096) -> AxiomRepo
         draws = rng.integers(0, 1 << 63, samples).astype(np.uint64)
         draws |= rng.integers(0, 2, samples).astype(np.uint64) << np.uint64(63)
         sets = kernels.distinct(draws & np.uint64(full_mask(n)))
-        # X, X+a and X+a+b for every sampled X and elements a <= b
-        grow = np.concatenate([kernels.subsets(n, size) for size in range(3)])
-        read = kernels.distinct((sets[:, None] | grow).ravel())
-        read_ranks = M.ranks(read)
-
-        def rank_of(masks: np.ndarray) -> np.ndarray:
-            return read_ranks[np.searchsorted(read, masks)]
+        # row k: the ranks of sets | grow[k]; as X | g is X | (g - X), only
+        # the g that miss X give new sets, and the rest copy an earlier row;
+        # the grid is allocated once the new sets are ranked and dropped
+        held = (grow[:, None] & sets) != 0
+        read, where = kernels.distinct((grow[:, None] | sets)[~held], inverse=True)
+        ranks = M.ranks(read)[where]
+        del read, where
+        grid = np.empty(held.shape, dtype=np.int64)
+        grid[~held] = ranks
+        del ranks
+        for b in range(n):
+            np.copyto(grid[1 + b], grid[0], where=held[1 + b])
+        for k, (i, j) in enumerate(pairs, 1 + n):
+            np.copyto(grid[k], grid[1 + j], where=held[1 + i])
+            np.copyto(grid[k], grid[1 + i], where=held[1 + j] & ~held[1 + i])
+        rx = grid[0]
 
     report = AxiomReport(n=n, exhaustive=exhaustive, checked_sets=len(sets))
     found = report.violations
-    rx, card = rank_of(sets), kernels.popcounts(sets)
+    card = kernels.popcounts(sets)
     bad = (rx < 0) | (rx > card)
     for x, r, c in zip(sets[bad].tolist(), rx[bad].tolist(), card[bad].tolist()):
         found.append(f"R1: r({to_labels(x)}) = {r} outside [0, {c}]")
-    sets, rx = sets[~bad], rx[~bad]
-    bits = [1 << b for b in range(n)]
-    grown = [rank_of(sets | np.uint64(b)) for b in bits]
+    keep = ~bad
+    sets, rx = sets[keep], rx[keep]
+
+    def rank_row(k: int) -> np.ndarray:
+        return table[sets | grow[k]] if exhaustive else grid[k, keep]
+
+    grown = [rank_row(1 + b) for b in range(n)]
     for b, r1 in zip(bits, grown):
         for x in sets[r1 < rx].tolist():
             found.append(f"R2: r({to_labels(x | b)}) < r({to_labels(x)})")
         for x in sets[r1 > rx + 1].tolist():
             found.append(f"unit increase: r({to_labels(x | b)}) > r({to_labels(x)}) + 1")
-    for i, a in enumerate(bits):
-        for j in range(i + 1, n):
-            rab = rank_of(sets | np.uint64(a | bits[j]))
-            for x in sets[grown[i] + grown[j] < rab + rx].tolist():
-                at = f"X={to_labels(x)}, a={to_labels(a)}, b={to_labels(bits[j])}"
-                found.append(f"R3: submodularity fails at {at}")
-                # nullity supermodularity is the mirrored local inequality
-                found.append(f"nullity supermodularity fails at {at}")
+    for k, (i, j) in enumerate(pairs, 1 + n):
+        rab = rank_row(k)
+        for x in sets[grown[i] + grown[j] < rab + rx].tolist():
+            at = f"X={to_labels(x)}, a={to_labels(bits[i])}, b={to_labels(bits[j])}"
+            found.append(f"R3: submodularity fails at {at}")
+            # nullity supermodularity is the mirrored local inequality
+            found.append(f"nullity supermodularity fails at {at}")
     return report
 
 

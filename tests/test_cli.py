@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from matgreedy import betti as betti_mod
 from matgreedy import kernels
-from matgreedy.cli import COMMANDS, RunConfig, main, run
+from matgreedy.cli import COMMANDS, RunConfig, _render_json, main, run
 from matgreedy.codes import LinearCode
 from matgreedy.errors import InputError
 from matgreedy.gfp import FieldMatrix
@@ -229,6 +229,28 @@ def test_report_builds_one_weight_report(monkeypatch):
 def test_output_byte_stable():
     outputs = {run(RunConfig(command="report", input_path=TERNARY84))[1] for _ in range(3)}
     assert len(outputs) == 1
+
+
+# strings and keys full of JSON's own punctuation, escapes and non-ASCII text
+json_strings = st.text(
+    st.sampled_from('"\\[]{},: \n\tab\x00\x7f\u00e9\u4e2d\U0001f600') | st.characters(), max_size=8
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.floats() | json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=json_values)
+@example(doc=[[[[[[]]]]], {"": {"a": {"b": {"c": {"d": {}}}}}}, [[], {}]])
+@example(doc=[float("nan"), float("inf"), -float("inf"), -0.0, 2**70, -(2**70), True, None])
+@example(doc={'\\"': ['\\', '\\\\"', '"[', "],"], "{:}": {"\n\u00e9": "\\"}})
+@example(doc='"\\"')
+@example(doc=-17)
+def test_json_rendering_is_json_dumps(doc):
+    assert _render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_commands_leave_numpy_ma_unloaded(tmp_path):
@@ -644,6 +666,12 @@ def test_hamming_15_11_validates_under_the_default_cap(tmp_path):
     assert status == 0 and doc == {"axioms": doc["axioms"]} and doc["axioms"]["ok"]
     status, out = run(RunConfig("validate", str(path), dump_ladder=True))
     assert status == 3 and out.startswith("cap exceeded: ladder generation")
+    # its 308 circuits as a list: elimination tests each distinct union once,
+    # which fits the default cap, and the sampled axioms read the same ranks
+    listed = tmp_path / "hamming_circuits.json"
+    labels = [to_labels(c) for c in circuits(from_descriptor(path.read_text()))]
+    listed.write_text(json.dumps({"type": "circuits", "n": 15, "circuits": labels}))
+    assert run_cmd("validate", str(listed)) == (0, doc)
 
 
 def _refuse(*args):

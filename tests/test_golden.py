@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from matgreedy import cli
 from matgreedy.cli import COMMANDS, _load_input, main
 from matgreedy.masks import to_labels
 from matgreedy.weights import weight_report
@@ -187,6 +188,21 @@ def test_golden_help(monkeypatch, command):
 @pytest.mark.parametrize("fixture, config", CASES)
 def test_golden_output(fixture, config):
     assert output_digest(fixture, config) == GOLDEN.get((fixture, config))
+
+
+@pytest.mark.parametrize("fixture, config", CASES)
+def test_golden_documents_render_as_json_dumps(monkeypatch, fixture, config):
+    # the digests pin the bytes; this pins what they are the bytes of
+    render, docs = cli._render_json, []
+
+    def checked(doc):
+        docs.append(text := render(doc))
+        assert text == json.dumps(doc, indent=2, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(cli, "_render_json", checked)
+    output_digest(fixture, config)
+    assert len(docs) == ("--format table" not in config)
 
 
 def test_golden_matroid_sweep():

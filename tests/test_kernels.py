@@ -222,6 +222,21 @@ def test_distinct_counts_match_plain_counts():
     assert [part.tolist() for part in empty] == [[], []]
 
 
+def test_distinct_inverse_and_lookup_find_each_value():
+    values = np.random.default_rng(4).integers(0, 50, size=400).astype(np.uint64)
+    masks, where = kernels.distinct(values, inverse=True)
+    assert masks.tolist() == sorted(set(values.tolist()))
+    assert masks[where].tolist() == values.tolist()
+    both = kernels.distinct(values, counts=True, inverse=True)
+    counts = [values.tolist().count(v) for v in masks.tolist()]
+    assert [part.tolist() for part in both] == [masks.tolist(), counts, where.tolist()]
+    at, found = kernels.lookup(masks[::2], np.arange(60, dtype=np.uint64))
+    assert found.tolist() == [v in set(masks[::2].tolist()) for v in range(60)]
+    assert masks[::2][at[found]].tolist() == np.flatnonzero(found).tolist()
+    empty = [part.tolist() for part in kernels.lookup(masks[:0], values[:3])]
+    assert empty == [[0, 0, 0], [False] * 3]
+
+
 @pytest.mark.parametrize("p, rows, cols", [(2, 5, 9), (3, 3, 7), (7, 2, 5), (5, 0, 4)])
 def test_word_supports_enumerate_every_combination(p, rows, cols):
     basis = np.random.default_rng(p + rows).integers(0, p, size=(rows, cols))

@@ -204,6 +204,15 @@ def test_elimination_tests_each_distinct_union_once():
     # unions, so the containment route stays far below the default cap
     want = circuits(uniform(12, 16))
     assert circuits(from_circuits(16, want)) == want
+    # Hamming [15,11] as a list: its 308 circuits meet in 39,060 pairs, spread
+    # over batches, with 16,065 distinct unions, each tested once against
+    # every circuit: 16,065 x 308 = 4,948,020 tests
+    columns = [[b >> i & 1 for i in range(4)] for b in range(1, 16)]
+    hamming = circuits(from_parity_check(FieldMatrix(2, list(zip(*columns)))))
+    assert len(hamming) == 308
+    from_circuits(15, hamming).check_elimination(4_948_020)
+    with pytest.raises(CapExceeded):
+        from_circuits(15, hamming).check_elimination(4_948_019)
 
 
 def test_m23_rank(m23):
@@ -357,6 +366,21 @@ def test_sampled_validate_axioms_asks_ranks_once(monkeypatch):
     report = validate_axioms(TableMatroid(13, rank6_with_loops_table(13)))
     assert not report.exhaustive and report.ok
     assert len(calls) == 1
+
+
+def test_sampled_validate_axioms_drops_r1_sets_from_later_checks():
+    # every set holding 13 has rank -1: R1 refuses the sampled ones, and every
+    # other sampled X fails R2 once, at X + 13, and nothing else
+    table = {m: -1 if m >> 12 else r for m, r in rank6_with_loops_table(13).items()}
+    report = validate_axioms(TableMatroid(13, table))
+    assert not report.exhaustive
+    r1 = [v for v in report.violations if v.startswith("R1")]
+    r2 = [v for v in report.violations if v.startswith("R2")]
+    assert r1 and r2 and len(r1) + len(r2) == len(report.violations) == report.checked_sets
+    assert all(" = -1 outside [0, " in v for v in r1)
+    grown, kept = zip(*(v.split(" < ") for v in r2))
+    assert all(x.rstrip(",)").endswith("13") for x in grown)
+    assert not any("13" in x for x in kept)
 
 
 class Bit64Rule(Matroid):
