@@ -73,11 +73,9 @@ class BettiDiagram:
         if self.values is not None:
             doc["values"] = {
                 f"{i}|{','.join(str(x) for x in to_labels(mask))}": val
-                for (i, mask), val in sorted(self.values.items())
+                for (i, mask), val in self.values.items()
             }
-            doc["table"] = {
-                f"{i}|{j}": val for (i, j), val in sorted(self.table_values().items())
-            }
+            doc["table"] = {f"{i}|{j}": val for (i, j), val in self.table_values().items()}
         return doc
 
 

@@ -1,6 +1,6 @@
 """Batched integer kernels: k-subset masks, bit counts, mod-p elimination and
 null bases, column-subset ranks, code-word supports, circuit ranks, closures,
-meet and rank tables, and containment tests, weighted sums and intersections.
+meet, cycle and rank tables, containment tests, weighted sums and intersections.
 
 Each kernel treats a whole batch of subset masks with numpy array operations.
 Batches are split into chunks so that no temporary holds more than about
@@ -261,15 +261,39 @@ def circuit_ranks(masks, circuits, n):
     return popcounts(indep)
 
 
+def _spread_up(table, n):
+    """A table over all 2^n masks with each entry ORed into those of the
+    masks above it, one bit at a time; each half of the bits is moved to the
+    top of the index first, so that every pass runs over long blocks."""
+    for size in (n // 2, n - n // 2):
+        table = table.reshape(-1, 1 << size).T.ravel()
+        for b in range(n - size, n):
+            halves = table.reshape(-1, 2, 1 << b)
+            np.bitwise_or(halves[:, 0], halves[:, 1], out=halves[:, 1])
+    return table
+
+
 def circuit_meet_table(circuits, n):
     """subset_meets of every mask below 2^n against the circuits, indexed by
-    mask: each circuit's own mask, spread upward one bit at a time."""
-    out = np.full(1 << n, ~np.uint64(0))
-    out[circuits] = circuits
-    for b in range(n):
-        halves = out.reshape(-1, 2, 1 << b)
-        halves[:, 1] &= halves[:, 0]
-    return out
+    mask: the complement of the union of the circuits' complements."""
+    out = np.zeros(1 << n, dtype=np.uint64)
+    out[circuits] = ~circuits
+    return ~_spread_up(out, n)
+
+
+def cycle_masks(circuits, n):
+    """The cycles of a matroid on n elements given by its k circuit masks,
+    ascending: the distinct nonempty unions of sets of circuits, read off a
+    table of their 2^k unions when k <= n, and otherwise off a table of all
+    2^n masks, as those that are the union of the circuits inside them."""
+    table = np.zeros(1 << min(circuits.size, n), dtype=np.uint64)
+    if circuits.size <= n:
+        for i, c in enumerate(circuits):
+            table[1 << i : 2 << i] = table[: 1 << i] | c
+        return distinct(table)[1:]
+    table[circuits] = circuits
+    masks = np.arange(1 << n, dtype=np.uint64)
+    return masks[_spread_up(table, n) == masks][1:]
 
 
 def circuit_rank_table(meets, n):

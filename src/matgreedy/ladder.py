@@ -3,11 +3,11 @@
 N_l is the set of cycles (unions of circuits) of nullity l.  For a matroid
 these are exactly the inclusion-minimal sets of nullity l: cycles are the
 complements of the flats of the dual, and flats of equal rank are never
-nested (Oxley, Matroid Theory, 2nd ed.).  Level 1 is the circuit set, and
-level l is generated upward as the unions of a level-(l-1) member with a
-circuit that have nullity exactly l; every cycle of nullity l arises this
-way, and no minimality test is needed.  Each level's unions and nullities
-are computed as whole arrays of masks.
+nested (Oxley, Matroid Theory, 2nd ed.).  With 2^n <= CHUNK_ENTRIES the
+cycles are read off one table, ranked at once and split by nullity.  Else
+level 1 is the circuit set, and level l is generated upward as the unions
+of a level-(l-1) member with a circuit that have nullity exactly l: every
+cycle of nullity l arises this way, and no minimality test is needed.
 """
 
 from __future__ import annotations
@@ -106,47 +106,47 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
 def ladder(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> CycleLadder:
     """The full cycle ladder of M, cached on the matroid.
 
-    cap bounds the total number of candidate unions examined; huge ladders
-    (duals of large-corank matroids, say) fail explicitly instead of
-    thrashing.  The top level is the single set E minus the coloops, as in
-    every matroid, and circuits() has refused every input that is not one,
-    so an InvariantError here is a fault of this code.
+    With 2^n <= kernels.CHUNK_ENTRIES the levels split kernels.cycle_masks by
+    nullity and cap bounds its 2^n sets; otherwise cap bounds the candidate
+    unions examined.  Huge ladders (duals of large-corank matroids, say) thus
+    fail explicitly instead of thrashing.  The top level is the single set E
+    minus the coloops, as in every matroid, and circuits() has refused every
+    input that is not one, so an InvariantError here is a fault of this code.
     """
     if M._ladder is not None:
         return M._ladder
+    if (by_table := 1 << M.n <= kernels.CHUNK_ENTRIES) and 1 << M.n > cap:
+        raise CapExceeded(f"the cycle table needs all 2^{M.n} subsets, more than {cap}")
     t = M.corank
-    if isinstance(M, UniformMatroid) and t >= 2:
+    too_many = f"ladder generation examined more than {cap} candidate unions"
+    if not by_table and isinstance(M, UniformMatroid) and t >= 2:
         # level 2's |circuits|^2 unions, priced before any circuit is built
-        count = comb(M.n, M.r + 1)
-        if count <= cap < count * count:
-            raise CapExceeded(f"ladder generation examined more than {cap} candidate unions")
-    circs = circuits(M, cap=cap)
+        if (count := comb(M.n, M.r + 1)) <= cap < count * count:
+            raise CapExceeded(too_many)
+    circs = np.array(circuits(M, cap=cap), dtype=np.uint64)
     levels: list[tuple[int, ...]] = []
-    work = 0
     if t >= 1:
-        levels.append(circs)
-        circ_arr = np.array(circs, dtype=np.uint64)
-        prev = circ_arr
-        for lvl_idx in range(2, t + 1):
-            work += prev.size * circ_arr.size
-            if work > cap:
-                raise CapExceeded(
-                    f"ladder generation examined more than {cap} candidate unions"
-                )
-            candidates = unions(prev, circ_arr)
-            nullity = kernels.popcounts(candidates) - M.ranks(candidates)
-            prev = candidates[nullity == lvl_idx]
-            # distinct and ascending already: a stable sort by cardinality
-            # gives the (cardinality, mask) order
-            prev = prev[np.argsort(kernels.popcounts(prev), kind="stable")]
-            levels.append(tuple(prev.tolist()))
+        if by_table:
+            cycles = kernels.cycle_masks(circs, M.n)
+            nullity = kernels.popcounts(cycles) - M._ranks(cycles)
+        else:
+            parts, work = [circs], 0
+            for lvl in range(2, t + 1):
+                if (work := work + parts[-1].size * circs.size) > cap:
+                    raise CapExceeded(too_many)
+                grown = unions(parts[-1], circs)
+                parts.append(grown[kernels.popcounts(grown) - M._ranks(grown) == lvl])
+            cycles = np.concatenate(parts)
+            nullity = np.repeat(np.arange(1, t + 1), [part.size for part in parts])
+        # each (nullity, cardinality) class is ascending: a stable sort suffices
+        order = (nullity * (M.n + 1) + kernels.popcounts(cycles)).argsort(kind="stable")
+        # nullities past t, possible only in a non-matroid, join level t
+        cuts = [0, *nullity[order].searchsorted(np.arange(2, t + 1)).tolist(), None]
+        members = cycles[order].tolist()
+        levels = [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
         # the top cycle is the union of all circuits, E minus the coloops
-        top = int(np.bitwise_or.reduce(circ_arr, initial=np.uint64(0)))
+        top = int(np.bitwise_or.reduce(circs, initial=np.uint64(0)))
         if levels[-1] != (top,):
-            raise InvariantError(
-                f"ladder level {t} is not the single set E minus the coloops"
-            )
-    lad = CycleLadder(tuple(levels))
-    M._ladder = lad
-    return lad
-
+            raise InvariantError(f"ladder level {t} is not the single set E minus the coloops")
+    M._ladder = CycleLadder(tuple(levels))
+    return M._ladder

@@ -78,9 +78,6 @@ class Matroid:
     def rank(self, mask: int) -> int:
         return int(self.ranks([mask])[0])
 
-    def nullity(self, mask: int) -> int:
-        return popcount(mask) - self.rank(mask)
-
     @cached_property
     def full_rank(self) -> int:
         return self.rank(full_mask(self.n))

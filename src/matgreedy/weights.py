@@ -11,6 +11,7 @@ from the top.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import require
@@ -27,7 +28,7 @@ def hamming_weights(M: Matroid) -> tuple[int, ...]:
 
 def _lightest(level) -> list[int]:
     """Members of least cardinality of a level sorted by (cardinality, mask)."""
-    return [m for m in level if popcount(m) == popcount(level[0])]
+    return list(level[: bisect_right(level, popcount(level[0]), key=popcount)])
 
 
 def _step(frontier, level, follows) -> dict[int, int]:

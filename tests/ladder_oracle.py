@@ -5,9 +5,10 @@ each nullity, so `ladder(M) == bruteforce_ladder(M)` checks the theorem that
 the ladder's levels (cycles of each nullity) are exactly those minimal sets.
 chains_bruteforce is an exhaustive search over maximal ladder chains,
 independent of the frontier sweeps in matgreedy.weights.  is_cycle tests
-cycles by the coloop test, independently of the ladder.  unchecked_circuits
-builds a circuit list past its elimination check, so that the invariants
-behind that check can be tested on inputs that break them.
+cycles by the coloop test, independently of the ladder, and nullity reads
+one set's nullity off the rank oracle.  unchecked_circuits builds a circuit
+list past its elimination check, so that the invariants behind that check
+can be tested on inputs that break them.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ def singletons(mask: int):
         low = mask & -mask
         yield low
         mask ^= low
+
+
+def nullity(M: Matroid, mask: int) -> int:
+    """|X| - rank(X) for the subset mask X."""
+    return popcount(mask) - M.rank(mask)
 
 
 def filter_minimal(masks):

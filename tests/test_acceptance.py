@@ -41,7 +41,7 @@ from tests.conftest import (
     random_matroid,
 )
 from tests.homology_oracle import reduced_betti_all
-from tests.ladder_oracle import bruteforce_ladder, chains_bruteforce
+from tests.ladder_oracle import bruteforce_ladder, chains_bruteforce, nullity
 from tests.paper_oracle import greedy_from_strands
 from tests.test_weights import unrestricted_chain_minima
 
@@ -87,7 +87,7 @@ def test_criterion_01_reference_code_reproduction():
     # {5,6,7,8}, a nullity-2 set of cardinality d_2 = 4
     tau, mu = report.witness_g[2]
     witness = (from_labels([5, 6, 7, 8]), from_labels([1, 2, 5, 6, 7, 8]))
-    nullities = (M.nullity(tau), M.nullity(mu))
+    nullities = (nullity(M, tau), nullity(M, mu))
     # the subcode enumeration does not go through the ladder
     code = LinearCode(FieldMatrix(3, TERNARY84_GENERATOR_ROWS))
     _, e_o, et_o, g_o = subcode_weights(code)

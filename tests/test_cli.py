@@ -6,6 +6,8 @@ import contextlib
 import io
 import json
 import time
+from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
@@ -325,6 +327,9 @@ def test_exit_codes(tmp_path):
     assert status == 1 and out.startswith("input error: cannot read")
     status, _ = run(RunConfig(command="weights", input_path=M23, cap_subsets=10))
     assert status == 3
+    # a ladder on n <= 14 elements is read off all 2^n subsets, which the cap bounds
+    for cap, want in ((255, 3), (256, 0)):
+        assert run(RunConfig("weights", TERNARY84, cap_subsets=cap))[0] == want
     with pytest.raises(InputError):
         RunConfig(command="weights", input_path=TERNARY84, cap_subsets=0)
     with pytest.raises(InputError):
@@ -343,6 +348,17 @@ def test_uniform_circuits_trip_the_cap_before_enumerating(tmp_path):
             status, out = run(RunConfig(command, str(path), cap_subsets=cap))
             assert status == 3 and out.startswith("cap exceeded:")
             assert time.perf_counter() - start < 1.0
+
+
+def test_uniform_5_14_betti_reads_the_cycle_table(tmp_path):
+    # level 2 alone would take C(14,6)^2 = 9,018,009 unions, past the default
+    # cap, but the 2^14 cycle table is under it; level l is the (5+l)-sets
+    path = tmp_path / "u14.json"
+    path.write_text(json.dumps({"type": "uniform", "r": 5, "n": 14}))
+    status, out = run(RunConfig("betti", str(path)))
+    assert status == 0
+    sizes = Counter(i for i, _ in json.loads(out)["support"])
+    assert [sizes[l] for l in range(1, 10)] == [comb(14, 5 + l) for l in range(1, 10)]
 
 
 def test_betti_values_m23():
@@ -580,9 +596,10 @@ def test_exit_contract_on_any_flags(command, inputs, flags):
 
 
 def test_ladder_invariant_fires_under_optimize():
-    # the ladder's top level and the Moebius signs guard program faults, not
-    # inputs: they are reached past the elimination check, and raise
-    # InvariantError, not an assert, so python -O keeps them
+    # the ladder's top level, from the cycle table and from the unions, and
+    # the Moebius signs guard program faults, not inputs: they are reached past
+    # the elimination check, and raise InvariantError, not an assert, so
+    # python -O keeps them
     import subprocess
     import sys
 
@@ -593,7 +610,11 @@ def test_ladder_invariant_fires_under_optimize():
         "from tests.ladder_oracle import unchecked_circuits\n"
         "from tests.test_betti import MOBIUS_PLANTED\n"
         "from tests.test_ladder import PLANTED\n"
-        "for build, planted in ((ladder, PLANTED), (betti_values, MOBIUS_PLANTED)):\n"
+        "import matgreedy.kernels as kernels\n"
+        "default = kernels.CHUNK_ENTRIES\n"
+        "for build, planted, chunk in ((ladder, PLANTED, default), (ladder, PLANTED, 8),\n"
+        "                              (betti_values, MOBIUS_PLANTED, default)):\n"
+        "    kernels.CHUNK_ENTRIES = chunk  # 8-entry chunks send the ladder to the unions\n"
         "    try:\n"
         "        build(unchecked_circuits(*planted))\n"
         "    except InvariantError as exc:\n"
@@ -603,6 +624,7 @@ def test_ladder_invariant_fires_under_optimize():
                           text=True, cwd=FIXTURES.parent)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
+        "refused: ladder level 2 is not the single set E minus the coloops",
         "refused: ladder level 2 is not the single set E minus the coloops",
         "refused: support pair (3, (1, 2, 3, 4)) has mu = 0, want a nonzero value of sign (-1)^3",
     ]

@@ -123,6 +123,11 @@ def test_circuit_ranks_match_greedy_growth(case):
     assert table[u64(masks)].tolist() == want
     meets = kernels.circuit_meet_table(u64(circs), n)[u64(masks)]
     assert meets.tolist() == kernels.subset_meets(u64(masks), u64(circs)).tolist()
+    # the unions of sets of the masks, from 2^k of them or from 2^n masks
+    unions = {0}
+    for c in circs:
+        unions |= {u | c for u in unions}
+    assert kernels.cycle_masks(u64(circs), n).tolist() == sorted(unions - {0})
 
 
 def test_circuit_ranks_batch_over_many_chunks():

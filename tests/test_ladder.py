@@ -8,6 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from matgreedy import kernels
 from matgreedy.errors import CapExceeded, InputError, InvariantError
 from matgreedy.ladder import circuits, ladder, unions
 from matgreedy.masks import (
@@ -19,8 +20,14 @@ from matgreedy.masks import (
 )
 from matgreedy.matroid import from_circuits, from_parity_check, uniform
 from matgreedy.gfp import FieldMatrix
-from tests.conftest import random_matroid
-from tests.ladder_oracle import bruteforce_ladder, is_cycle, singletons, unchecked_circuits
+from tests.conftest import random_field_matrix, random_matroid
+from tests.ladder_oracle import (
+    bruteforce_ladder,
+    is_cycle,
+    nullity,
+    singletons,
+    unchecked_circuits,
+)
 
 # breaks circuit elimination ({1,3} and {3,4} share 3, but {1,4} holds no
 # circuit); past that check, its greedy ranks give a top level of nullity 2
@@ -101,7 +108,7 @@ def test_levels_are_antichains_of_right_nullity(small_corpus):
         lad = ladder(M)
         for i, level in enumerate(lad.levels, start=1):
             for mask in level:
-                assert M.nullity(mask) == i
+                assert nullity(M, mask) == i
             for a in level:
                 for b in level:
                     if a != b:
@@ -243,10 +250,57 @@ def test_capped_unions_trip_exactly_when_all_unions_exceed_the_cap(seed):
             assert got.size <= every.size and (np.diff(got.astype(np.int64)) > 0).all()
 
 
-def test_ladder_top_level_guard():
+def test_ladder_top_level_guard(monkeypatch):
     # circuits() refuses the list; past that check, the ladder's own
-    # invariant still catches it
+    # invariant still catches it, from the cycle table (2^4 masks fit in a
+    # chunk) and from the unions, which a smaller chunk forces
     with pytest.raises(InputError, match="holds no circuit"):
         ladder(from_circuits(*PLANTED))
-    with pytest.raises(InvariantError, match="level 2 is not the single set E minus the coloops"):
-        ladder(unchecked_circuits(*PLANTED))
+    for chunk in (kernels.CHUNK_ENTRIES, 8):
+        monkeypatch.setattr(kernels, "CHUNK_ENTRIES", chunk)
+        with pytest.raises(InvariantError, match="level 2 is not the single set E minus the coloops"):
+            ladder(unchecked_circuits(*PLANTED))
+
+
+def route_corpus() -> list:
+    """Parity checks over GF(2) and GF(3), their circuit lists, their duals
+    and uniform matroids: one form for each n in 4..13, every form at n = 14."""
+    rng = np.random.default_rng(2314)
+    out = []
+    for n in range(4, 15):
+        rows = int(rng.integers(n // 3, n - n // 3 + 1))
+        M = from_parity_check(random_field_matrix(rng, 2 + n % 2, rows, n))
+        forms = [M, from_circuits(n, [to_labels(c) for c in circuits(M)]), M.dual(),
+                 uniform(n - 3, n)]
+        out += forms if n == 14 else [forms[n % 4]]
+    return out + [uniform(2, 9)]
+
+
+def test_cycle_table_matches_the_unions_and_bruteforce(monkeypatch):
+    # the same inputs, built twice: ladders from the 2^n cycle table (or the
+    # 2^k circuit unions), then from the unions of each level with the
+    # circuits, forced by a chunk smaller than any 2^n here
+    built = []
+    cycle_masks = kernels.cycle_masks
+    monkeypatch.setattr(kernels, "cycle_masks", lambda *a: built.append(1) or cycle_masks(*a))
+    tables = [ladder(M) for M in route_corpus()]
+    assert len(built) == len(tables)
+    monkeypatch.setattr(kernels, "CHUNK_ENTRIES", 8)
+    for M, table in zip(route_corpus(), tables):
+        assert ladder(M).levels == table.levels, M
+        assert table.levels == bruteforce_ladder(M).levels, M
+    assert len(built) == len(tables)
+
+
+def test_cycle_table_trips_the_cap_before_any_table(monkeypatch, ternary84):
+    def refuse(*args):
+        raise AssertionError("built a table past the cap")
+
+    lists = [from_circuits(8, [to_labels(c) for c in circuits(ternary84)]) for _ in range(2)]
+    with monkeypatch.context() as patched:
+        for name in ("cycle_masks", "circuit_meet_table", "subsets"):
+            patched.setattr(kernels, name, refuse)
+        for M in (uniform(5, 14), lists[0], from_parity_check(FieldMatrix(2, np.eye(3, dtype=int)))):
+            with pytest.raises(CapExceeded, match=f"all 2\\^{M.n} subsets"):
+                ladder(M, cap=(1 << M.n) - 1)
+    assert ladder(lists[1], cap=1 << 8).levels == ladder(ternary84).levels

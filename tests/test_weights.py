@@ -18,7 +18,7 @@ from matgreedy.weights import (
     weight_report,
 )
 from tests.conftest import random_matroid
-from tests.ladder_oracle import chains_bruteforce, is_cycle
+from tests.ladder_oracle import chains_bruteforce, is_cycle, nullity
 
 
 def unrestricted_chain_minima(M: Matroid):
@@ -29,7 +29,7 @@ def unrestricted_chain_minima(M: Matroid):
         return (), ()
     by_nullity: dict[int, list[int]] = {i: [] for i in range(1, t + 1)}
     for mask in range(1 << M.n):
-        nl = M.nullity(mask)
+        nl = nullity(M, mask)
         if 1 <= nl <= t:
             by_nullity[nl].append(mask)
     suffix = {m: (popcount(m),) for m in by_nullity[t]}
