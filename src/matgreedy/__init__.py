@@ -10,7 +10,7 @@ from .betti import (
     strand_check,
     strand_nonzero,
 )
-from .codes import LinearCode, subcode_weights
+from .codes import subcode_weights
 from .errors import CapExceeded, InputError, InvariantError, MatGreedyError
 from .gfp import FieldMatrix, PrimeField, parse_matrix
 from .ladder import CycleLadder, circuits, ladder
@@ -43,7 +43,6 @@ __all__ = [
     "FieldMatrix",
     "InputError",
     "InvariantError",
-    "LinearCode",
     "MatGreedyError",
     "Matroid",
     "PrimeField",

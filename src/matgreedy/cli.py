@@ -54,16 +54,16 @@ class RunConfig:
             raise InputError(f"unknown format {self.fmt!r}")
 
 
-def _load_input(path: str) -> tuple[Matroid, codes_mod.LinearCode | None]:
+def _load_input(path: str) -> tuple[Matroid, bool]:
+    """The input's matroid, and whether the input was a code file."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return from_descriptor(stripped), None
-    code = codes_mod.parse_code_file(text)
-    return code.matroid(), code
+        return from_descriptor(stripped), False
+    return codes_mod.parse_code_file(text), True
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "))
@@ -140,21 +140,21 @@ def _betti_table_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Command handlers take (M, config, code), code being the parsed code file
-# when the input was one; only validate reads it.
+# Command handlers take (M, config, is_code), is_code saying whether the
+# input was a code file; only validate reads it.
 
 
-def _cmd_weights(M: Matroid, config: RunConfig, code=None) -> dict:
+def _cmd_weights(M: Matroid, config: RunConfig, is_code=False) -> dict:
     return weight_report(M).to_json_dict()
 
 
-def _cmd_betti(M: Matroid, config: RunConfig, code=None) -> dict:
+def _cmd_betti(M: Matroid, config: RunConfig, is_code=False) -> dict:
     if config.values:
         return betti_mod.betti_values(M).to_json_dict()
     return betti_mod.betti_support(M).to_json_dict()
 
 
-def _cmd_strands(M: Matroid, config: RunConfig, code=None) -> dict:
+def _cmd_strands(M: Matroid, config: RunConfig, is_code=False) -> dict:
     if not config.chain:
         raise InputError("strands requires --chain \"1,2|1,2,3|...\"")
     chain = masks.parse_chain(config.chain, M.n)
@@ -164,7 +164,7 @@ def _cmd_strands(M: Matroid, config: RunConfig, code=None) -> dict:
     }
 
 
-def _cmd_wei(M: Matroid, config: RunConfig, code=None) -> dict:
+def _cmd_wei(M: Matroid, config: RunConfig, is_code=False) -> dict:
     # an identity whose dual side is over the cap is skipped on its own
     checks = {"greedy": wei.check_wei_greedy, "classical": wei.check_wei_classical}
     doc = {}
@@ -184,21 +184,21 @@ def _chained_doc(verdict: bool, chain) -> dict:
     }
 
 
-def _cmd_chained(M: Matroid, config: RunConfig, code=None) -> dict:
+def _cmd_chained(M: Matroid, config: RunConfig, is_code=False) -> dict:
     return _chained_doc(*is_chained(M))
 
 
-def _cmd_validate(M: Matroid, config: RunConfig, code: codes_mod.LinearCode | None) -> dict:
+def _cmd_validate(M: Matroid, config: RunConfig, is_code: bool) -> dict:
     axioms = validate_axioms(M, seed=config.seed)
     doc: dict = {"axioms": axioms.to_json_dict()}
     if not axioms.ok:
         return doc
     # sampled axioms (n > 12) can pass on a circuit list that is not a matroid
     M.check_elimination(config.cap_subsets)
-    if code is None:
+    if not is_code:
         return doc
     try:
-        oracle = codes_mod.subcode_weights(code, cap=config.cap_subspaces)
+        oracle = codes_mod.subcode_weights(M, cap=config.cap_subspaces)
     except CapExceeded:
         return doc  # the oracle is skipped above its cap
     report = weight_report(M)
@@ -215,7 +215,7 @@ def _cmd_validate(M: Matroid, config: RunConfig, code: codes_mod.LinearCode | No
 REPORT_WEI_CAP = 300_000
 
 
-def _cmd_report(M: Matroid, config: RunConfig, code=None) -> dict:
+def _cmd_report(M: Matroid, config: RunConfig, is_code=False) -> dict:
     weights = weight_report(M)
     doc = {
         "weights": weights.to_json_dict(),
@@ -269,10 +269,10 @@ def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit status, rendered output)."""
     command = COMMANDS[config.command]
     try:
-        M, code = _load_input(config.input_path)
+        M, is_code = _load_input(config.input_path)
         if config.command != "validate":
             build_ladder(M, cap=config.cap_subsets)
-        doc = command.handler(M, config, code)
+        doc = command.handler(M, config, is_code)
         # validate builds no ladder once the axioms fail: its report stands alone
         if config.dump_ladder and doc.get("axioms", {"ok": True})["ok"]:
             doc["ladder"] = build_ladder(M, cap=config.cap_subsets).to_json_dict()

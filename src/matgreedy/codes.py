@@ -1,10 +1,11 @@
-"""Linear codes over prime fields: the matroid bridge and the brute-force
+"""Linear codes over prime fields: the code file format and the brute-force
 oracle for the code-side weight definitions.
 
-Codes are stored by a full-row-rank generator matrix in reduced echelon
-form.  Subcodes are enumerated through canonical echelon bases of message
-subspaces, which avoids double counting and lets the greedy oracles carry
-every optimal subcode forward when ties occur.
+A code is its matroid: the LinearMatroid whose kernel basis spans the code
+(matroid.from_generator, matroid.from_parity_check).  Subcodes are
+enumerated through canonical echelon bases of message subspaces over that
+basis, which avoids double counting and lets the greedy oracles carry every
+optimal subcode forward when ties occur.
 """
 
 from __future__ import annotations
@@ -14,52 +15,11 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceeded, InputError
-from .gfp import FieldMatrix, parse_matrix
-from .kernels import CHUNK_ENTRIES, null_basis, popcounts, word_supports
-from .matroid import LinearMatroid, Matroid
+from .gfp import parse_matrix
+from .kernels import CHUNK_ENTRIES, popcounts, word_supports
+from .matroid import LinearMatroid, from_generator, from_parity_check
 
 DEFAULT_SUBSPACE_CAP = 1 << 15
-
-
-class LinearCode:
-    """[n, k] code over GF(p), held as its canonical RREF generator and pivots."""
-
-    def __init__(self, generator: FieldMatrix):
-        rref, self.pivots = generator.rref()
-        if rref.nrows != generator.nrows:
-            raise InputError(
-                f"generator rows are dependent: rank {rref.nrows} "
-                f"of {generator.nrows} rows"
-            )
-        self.generator = rref
-        self._matroid: Matroid | None = None
-
-    @classmethod
-    def from_parity_check(cls, h: FieldMatrix) -> "LinearCode":
-        rref, pivots = h.rref()
-        return cls(FieldMatrix(h.field, null_basis(rref.data, pivots, h.p)[0]))
-
-    @property
-    def p(self) -> int:
-        return self.generator.p
-
-    @property
-    def n(self) -> int:
-        return self.generator.ncols
-
-    @property
-    def k(self) -> int:
-        return self.generator.nrows
-
-    def __repr__(self) -> str:
-        return f"LinearCode(p={self.p}, n={self.n}, k={self.k})"
-
-    def matroid(self) -> Matroid:
-        if self._matroid is None:
-            # as from_generator, from the echelon form already at hand
-            gen = self.generator.data
-            self._matroid = LinearMatroid(self.p, *null_basis(gen, self.pivots, self.p), gen)
-        return self._matroid
 
 
 # -- subcode enumeration ----------------------------------------------------
@@ -94,11 +54,11 @@ def echelon_subspaces(p: int, k: int, r: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _subcode_weights(C: LinearCode, bases: np.ndarray) -> np.ndarray:
+def _subcode_weights(M: LinearMatroid, bases: np.ndarray) -> np.ndarray:
     """Support weight of the subcode spanned by each basis: the popcount of
     the union of its rows' codeword supports."""
-    index = bases @ C.p ** np.arange(C.k)  # each row's message as a base-p number
-    rows = word_supports(C.generator.data, C.p, index.ravel())
+    index = bases @ M.p ** np.arange(len(M.kernel))  # each row's message as a base-p number
+    rows = word_supports(M.kernel, M.p, index.ravel())
     return popcounts(np.bitwise_or.reduce(rows.reshape(index.shape), axis=1))
 
 
@@ -131,28 +91,29 @@ def _containment(
 
 
 def subcode_weights(
-    C: LinearCode, cap: int = DEFAULT_SUBSPACE_CAP
+    M: LinearMatroid, cap: int = DEFAULT_SUBSPACE_CAP
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(d, e, e_tilde, g) of the code by exhaustive enumeration of subcodes.
+    """(d, e, e_tilde, g) of the code of M, the row space of M.kernel, by
+    exhaustive enumeration of subcodes.
 
     Each dimension's subspaces are enumerated once.  The greedy families
     carry every optimal subcode forward at each stage; ties matter because
     a later level may only be reachable through one of them.  The cap bounds
     the number of subspaces and is checked before anything is enumerated.
     """
-    k, p = C.k, C.p
+    k, p = len(M.kernel), M.p
     if (count := subspace_count(p, k)) > cap:
         raise CapExceeded(f"{count} subspaces of GF({p})^{k} exceed the cap {cap}")
     if k == 0:
         return (), (), (), ()
     bases = [echelon_subspaces(p, k, r) for r in range(k + 1)]
-    weights = [_subcode_weights(C, b) for b in bases]
+    weights = [_subcode_weights(M, b) for b in bases]
     d = tuple(int(w.min()) for w in weights[1:])
 
     def lightest(r: int, passes) -> tuple[int, np.ndarray]:
         """Least weight of a dimension-r subcode that passes the test, and
         all such subcodes; weight classes are tested lightest first."""
-        for w in range(d[r - 1], C.n + 1):
+        for w in range(d[r - 1], M.n + 1):
             cand = bases[r][weights[r] == w]
             hits = cand[passes(cand)]
             if len(hits):
@@ -181,8 +142,10 @@ def subcode_weights(
 # -- code file format --------------------------------------------------------
 
 
-def parse_code_file(text: str) -> LinearCode:
-    """Role header ("generator" | "parity_check") followed by matrix text."""
+def parse_code_file(text: str) -> LinearMatroid:
+    """The matroid of the code given by a role header ("generator" |
+    "parity_check") followed by matrix text; a generator's rows must be
+    independent."""
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
@@ -193,6 +156,11 @@ def parse_code_file(text: str) -> LinearCode:
     if role not in ("generator", "parity_check"):
         raise InputError(f"unknown code role {role!r}")
     mat = parse_matrix("\n".join(lines[idx + 1 :]))
-    if role == "generator":
-        return LinearCode(mat)
-    return LinearCode.from_parity_check(mat)
+    if role == "parity_check":
+        return from_parity_check(mat)
+    M = from_generator(mat)
+    if len(M.kernel) != mat.nrows:
+        raise InputError(
+            f"generator rows are dependent: rank {len(M.kernel)} of {mat.nrows} rows"
+        )
+    return M

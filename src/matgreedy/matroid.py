@@ -92,7 +92,8 @@ class Matroid:
 
     def dual(self) -> "Matroid":
         """The dual, r*(X) = |X| + r(E-X) - r(E): a new object with its own
-        caches on each call, but the dual of a dual is the matroid it wraps."""
+        caches on each call.  The dual of a DualMatroid is the matroid it
+        wraps; that of a linear or uniform dual is a new, equal matroid."""
         return DualMatroid(self)
 
     def __repr__(self) -> str:
@@ -102,11 +103,13 @@ class Matroid:
 class LinearMatroid(Matroid):
     """Column matroid of a matrix A over GF(p): rank(X) = rank of the columns X.
 
-    This is the matroid of a code when A is a parity check of it.  It holds
-    two standard-form bases from one reduction (kernels.null_basis): basis,
-    of A's row space with the identity on the columns units, and kernel, of
-    ker A.  With r = rank(A), ranks count the shorter word list while it has
-    at most WORD_CAP words (Wei 1991), and eliminate columns of basis if not:
+    This is the matroid of a code when A is a parity check of it: the code
+    is the row space of kernel.  It holds two standard-form bases from one
+    reduction (kernels.null_basis): basis, of A's row space with the identity
+    on the columns units, and kernel, of ker A.  Its dual is the column
+    matroid of kernel, with the two bases swapped.  With r = rank(A), ranks
+    count the shorter word list while it has at most WORD_CAP words (Wei
+    1991), and eliminate columns of basis if not:
     r - rank(X) = log_p #{w in rowspace(A) : supp w inside E - X} and
     |X| - rank(X) = log_p #{w in ker(A) : supp w inside X}.
     """
@@ -147,6 +150,10 @@ class LinearMatroid(Matroid):
         require(np.array_equal(powers[np.minimum(dims, powers.size - 1)], found),
                 "a count of code words is not a power of p")
         return (r if row_side else kernels.popcounts(masks)) - dims
+
+    def dual(self) -> "Matroid":
+        free = np.delete(np.arange(self.n), self.units)
+        return LinearMatroid(self.p, self.kernel, free, self.basis)
 
 
 class CircuitMatroid(Matroid):
@@ -277,18 +284,17 @@ class DualMatroid(Matroid):
         return self.inner
 
 
-def from_parity_check(h: FieldMatrix) -> Matroid:
+def from_parity_check(h: FieldMatrix) -> LinearMatroid:
     """Matroid of the code with parity check h: rank(X) = rank of columns X."""
     rref, pivots = h.rref()
     return LinearMatroid(h.p, rref.data, pivots, kernels.null_basis(rref.data, pivots, h.p)[0])
 
 
-def from_generator(g: FieldMatrix) -> Matroid:
+def from_generator(g: FieldMatrix) -> LinearMatroid:
     """Matroid of the code generated by g: the column matroid of the parity
     check ker g, whose kernel is g's row space, and the dual of g's column
     matroid.  Its nullity of X is the dimension of the subcode inside X."""
-    rref, pivots = g.rref()
-    return LinearMatroid(g.p, *kernels.null_basis(rref.data, pivots, g.p), rref.data)
+    return from_parity_check(g).dual()
 
 
 def from_circuits(n: int, circuits) -> Matroid:

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matgreedy.codes import LinearCode
 from matgreedy.gfp import FieldMatrix
 from matgreedy.matroid import (
+    LinearMatroid,
     Matroid,
     from_circuits,
     from_generator,
@@ -53,11 +53,6 @@ def ternary84(ternary84_generator) -> Matroid:
 
 
 @pytest.fixture(scope="session")
-def ternary84_code(ternary84_generator) -> LinearCode:
-    return LinearCode(ternary84_generator)
-
-
-@pytest.fixture(scope="session")
 def m23() -> Matroid:
     return from_circuits(23, [_labels_to_mask(c) for c in M23_CIRCUITS])
 
@@ -82,17 +77,19 @@ def random_field_matrix(rng: np.random.Generator, p: int, rows: int, cols: int) 
     return FieldMatrix(p, rng.integers(0, p, size=(rows, cols)))
 
 
-def random_code(rng: np.random.Generator, p: int, n: int, k: int) -> LinearCode:
-    """Random [n, k] code; resamples until the generator has full row rank."""
+def random_code(rng: np.random.Generator, p: int, n: int, k: int) -> LinearMatroid:
+    """The matroid of a random [n, k] code, whose M.kernel is the generator
+    in reduced echelon form; resamples until the generator has full row rank."""
     while True:
         mat = random_field_matrix(rng, p, k, n)
         if field_rank(mat) == k:
-            return LinearCode(mat)
+            return from_generator(mat)
 
 
 def random_matroid(rng: np.random.Generator, n: int) -> Matroid:
-    """A random small matroid: linear over GF(2)/GF(3), its dual, a random
-    circuit set (harvested from a random linear matroid), or uniform."""
+    """A random small matroid: linear over GF(2)/GF(3), its dual (linear
+    over GF(2), the DualMatroid of its circuit-list twin over GF(3)), a
+    random circuit set (the circuits of a random linear matroid), or uniform."""
     kind = rng.integers(0, 5)
     if kind == 0:
         return uniform(int(rng.integers(0, n + 1)), n)
@@ -100,12 +97,14 @@ def random_matroid(rng: np.random.Generator, n: int) -> Matroid:
     rows = int(rng.integers(1, max(2, n)))
     mat = random_field_matrix(rng, p, rows, n)
     M = from_parity_check(mat)
-    if kind == 2:
+    if kind == 2 and p == 2:
         return M.dual()
-    if kind == 3:
+    if kind in (2, 3):
         from matgreedy.ladder import circuits
 
-        return from_circuits(n, list(circuits(M)))
+        twin = from_circuits(n, list(circuits(M)))
+        # over GF(3), kind 2 is the rank-formula dual of the circuit-list twin
+        return twin.dual() if kind == 2 else twin
     return M
 
 

@@ -20,12 +20,11 @@ import numpy as np
 
 from matgreedy import kernels
 from matgreedy.betti import betti_support, strand_nonzero
-from matgreedy.codes import LinearCode
 from matgreedy.errors import InputError
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import ladder
 from matgreedy.masks import full_mask, is_subset, popcount, to_labels
-from matgreedy.matroid import Matroid
+from matgreedy.matroid import LinearMatroid, Matroid
 from tests.ladder_oracle import singletons
 
 
@@ -136,17 +135,19 @@ def kernel_basis(m: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(m.field, basis)
 
 
-def shortened_subcode(C: LinearCode, X: int) -> FieldMatrix:
-    """Canonical basis of the subcode supported inside X.
+def shortened_subcode(M: LinearMatroid, X: int) -> FieldMatrix:
+    """Canonical basis of the subcode supported inside X, of the code of M:
+    the row space of M.kernel, read as its generator.
 
     Messages vanish on the coordinates outside X exactly when they lie in
     the kernel of the message-to-outside-coordinates map; those messages are
     re-encoded to codewords.
     """
-    g_out = columns(C.generator, full_mask(C.n) & ~X)
+    generator = FieldMatrix(M.p, M.kernel)
+    g_out = columns(generator, full_mask(M.n) & ~X)
     msgs = kernel_basis(FieldMatrix(g_out.field, g_out.data.T))  # messages m with m @ g_out = 0
-    words = (msgs.data @ C.generator.data) % C.p
-    return FieldMatrix(C.generator.field, words).rref()[0]
+    words = (msgs.data @ M.kernel) % M.p
+    return FieldMatrix(M.p, words).rref()[0]
 
 
 def support(words) -> int:

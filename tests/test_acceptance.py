@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from matgreedy.betti import betti_values, resolution_shape, strand_check
-from matgreedy.codes import LinearCode, subcode_weights
+from matgreedy.codes import subcode_weights
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import ladder
 from matgreedy.masks import from_labels, full_mask, popcount, to_labels
@@ -89,7 +89,7 @@ def test_criterion_01_reference_code_reproduction():
     witness = (from_labels([5, 6, 7, 8]), from_labels([1, 2, 5, 6, 7, 8]))
     nullities = (nullity(M, tau), nullity(M, mu))
     # the subcode enumeration does not go through the ladder
-    code = LinearCode(FieldMatrix(3, TERNARY84_GENERATOR_ROWS))
+    code = from_generator(FieldMatrix(3, TERNARY84_GENERATOR_ROWS))
     _, e_o, et_o, g_o = subcode_weights(code)
     oracle = {"e": e_o, "e_tilde": et_o, "g": g_o}
     ok = (
@@ -258,9 +258,9 @@ def test_criterion_08_code_matroid_coincidence():
         p = int(rng.choice([2, 3]))
         n = int(rng.integers(2, 10))
         k = int(rng.integers(1, min(n, 3) + 1))
-        C = random_code(rng, p, n, k)
-        report = weight_report(C.matroid())
-        if (report.d, report.e, report.e_tilde, report.g) != subcode_weights(C):
+        M = random_code(rng, p, n, k)
+        report = weight_report(M)
+        if (report.d, report.e, report.e_tilde, report.g) != subcode_weights(M):
             mismatches.append(trial)
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 600.0

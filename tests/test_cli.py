@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 from matgreedy import betti as betti_mod
 from matgreedy import kernels
 from matgreedy.cli import COMMANDS, RunConfig, _render_json, main, run
-from matgreedy.codes import LinearCode
 from matgreedy.errors import InputError
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import DEFAULT_SUBSET_CAP, circuits
 from matgreedy.masks import to_labels
-from matgreedy.matroid import from_descriptor, from_generator, validate_axioms
+from matgreedy.matroid import LinearMatroid, from_descriptor, from_generator, validate_axioms
 from tests.conftest import (
     FIXTURES,
     SWEEP,
@@ -296,15 +295,16 @@ def test_console_script_byte_stable_across_processes():
     }
 
 
-def _write_code(path, code: LinearCode) -> str:
-    path.write_text("generator\n" + format_matrix(code.generator))
+def _write_code(path, M: LinearMatroid) -> str:
+    """A generator code file of the code of M: M.kernel's rows."""
+    path.write_text("generator\n" + format_matrix(FieldMatrix(M.p, M.kernel)))
     return str(path)
 
 
 def test_validate_subspace_cap_trips_first(tmp_path):
     # GF(3) k=7 has 2,052,656 subspaces: the oracle is skipped at once
     eye7 = np.eye(7, dtype=int)
-    ternary = LinearCode(FieldMatrix(3, np.hstack([eye7, eye7[:, :3] + eye7[:, 3:6]])))
+    ternary = from_generator(FieldMatrix(3, np.hstack([eye7, eye7[:, :3] + eye7[:, 3:6]])))
     start = time.perf_counter()
     status, doc = run_cmd("validate", _write_code(tmp_path / "t.txt", ternary))
     assert status == 0 and "code_oracle" not in doc
@@ -334,6 +334,31 @@ def test_exit_codes(tmp_path):
         RunConfig(command="weights", input_path=TERNARY84, cap_subsets=0)
     with pytest.raises(InputError):
         RunConfig(command="bogus", input_path=TERNARY84)
+
+
+def test_generator_code_file_with_a_zero_row_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "zero_row.txt"
+    path.write_text("generator\n3 3 4\n1 0 1 1\n0 0 0 0\n0 1 1 2\n")
+    assert main(["weights", str(path)]) == 1
+    message = "input error: generator rows are dependent: rank 2 of 3 rows\n"
+    assert capsys.readouterr().err == message
+
+
+def test_dual_of_hamming_31_26_prints_the_simplex_31_5(tmp_path):
+    # the dual of a linear input is linear: its circuits are the supports of
+    # the 2^5 words of the simplex code, not the subsets of at most 27 of the
+    # 31 elements, which are over the cap, and its documents are those of the
+    # simplex [31,5] generator
+    columns = [[j >> i & 1 for j in range(1, 32)] for i in range(5)]
+    hamming = {"type": "linear", "p": 2, "matrix": columns}
+    dual, simplex = tmp_path / "dual.json", tmp_path / "simplex.json"
+    dual.write_text(json.dumps({"type": "dual", "of": hamming}))
+    simplex.write_text(json.dumps({**hamming, "role": "generator"}))
+    for command in ("weights", "wei"):
+        status, out = run(RunConfig(command, str(dual)))
+        assert status == 0 and out == run(RunConfig(command, str(simplex)))[1]
+        if command == "weights":
+            assert json.loads(out)["d"] == [16, 24, 28, 30, 31]
 
 
 def test_uniform_circuits_trip_the_cap_before_enumerating(tmp_path):
@@ -703,8 +728,7 @@ def _refuse(*args):
 def test_circuit_lists_rank_from_one_table_up_to_chunk_entries(tmp_path, monkeypatch):
     # 2^12 <= CHUNK_ENTRIES: every rank is read from the greedy table, and
     # the output equals that of the per-query route forced by a smaller cap
-    code = random_code(np.random.default_rng(19), 3, 12, 6)
-    circs = circuits(from_generator(code.generator))
+    circs = circuits(random_code(np.random.default_rng(19), 3, 12, 6))
     path = tmp_path / "n12.json"
     path.write_text(json.dumps({"type": "circuits", "n": 12,
                                 "circuits": [to_labels(c) for c in circs]}))

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from matgreedy import kernels
+from matgreedy import matroid as matroid_mod
 from matgreedy.errors import CapExceeded, InputError
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import circuits
 from matgreedy.masks import from_labels, full_mask, popcount, to_labels
 from matgreedy.matroid import (
+    DualMatroid,
+    LinearMatroid,
     Matroid,
     from_circuits,
     from_descriptor,
@@ -24,6 +27,7 @@ from tests.conftest import (
     TERNARY84_GENERATOR_ROWS,
     elimination_failure,
     random_code,
+    random_field_matrix,
     random_matroid,
     sweep_circuit_lists,
 )
@@ -264,8 +268,7 @@ def test_generator_parity_agreement_random_codes():
         p = int(rng.choice([2, 3]))
         n = int(rng.integers(3, 10))
         k = int(rng.integers(1, min(n, 5)))
-        code = random_code(rng, p, n, k)
-        g = code.generator
+        g = FieldMatrix(p, random_code(rng, p, n, k).kernel)
         h = kernel_basis(g)
         Mg = from_generator(g)
         Mh = from_parity_check(h)
@@ -299,6 +302,26 @@ def test_dual_of_free_matroid_all_loops():
     D = M.dual()
     assert D.full_rank == 0
     assert all(D.rank(1 << b) == 0 for b in range(3))
+
+
+@pytest.mark.parametrize("word_cap", [matroid_mod.WORD_CAP, 1])
+def test_linear_dual_is_the_kernel_column_matroid(word_cap, monkeypatch):
+    # ranks counted from words, and (word_cap 1) eliminated on the basis
+    monkeypatch.setattr(matroid_mod, "WORD_CAP", word_cap)
+    rng = np.random.default_rng(2424)
+    for _ in range(40):
+        p, n = int(rng.choice([2, 3])), int(rng.integers(1, 11))
+        mat = random_field_matrix(rng, p, int(rng.integers(1, n + 1)), n)
+        M = from_parity_check(mat)
+        D = M.dual()
+        every = np.arange(1 << n, dtype=np.uint64)
+        assert isinstance(D, LinearMatroid)
+        assert np.array_equal(D.ranks(every), DualMatroid(M).ranks(every))
+        assert np.array_equal(D.dual().ranks(every), M.ranks(every))
+        # a generator's matroid is the dual of its column matroid, array for array
+        G = from_generator(mat)
+        for name in ("basis", "units", "kernel"):
+            assert np.array_equal(getattr(G, name), getattr(D, name))
 
 
 def test_nullity_supermodular_exhaustive(small_corpus):
