@@ -37,8 +37,12 @@ PROTOCOL = (
     "the parent's q3 - q1; 'worse past bound' when the change median is worse than the "
     "parent's by more than the metric's BENCHMARK.json bound; 'unresolved' when "
     "relative_spread exceeds that bound, unless every change run beats every parent run; "
-    "'within bound' otherwise."
+    "'within bound' otherwise. setup_min_s, the least of a run's setup_runs_s (setup_s is "
+    "their median), is a diagnostic: its medians per side are given, with no verdict."
 )
+
+# per-run values with medians per side and no verdict: not BENCHMARK.json metrics
+DIAGNOSTICS = ("setup_min_s",)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -50,16 +54,18 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """Metric values of one perfbench run, from its last stdout line."""
+    """Metric values of one perfbench run, from its last stdout line, and the
+    diagnostics, from the report line before it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                  f"{proc.stderr[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    report, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
     values = {name: metric["value"] for name, metric in result["metrics"].items()}
-    return {"failed": result["failed"], **values}
+    # the fastest of the run's fresh-interpreter imports, which noise can only slow
+    return {"failed": result["failed"], **values, "setup_min_s": min(report["setup_runs_s"])}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -111,6 +117,11 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             verdict = "within bound"
         out["verdict"][name] = verdict
     out["worse_past_bound"] = [m for m, v in out["verdict"].items() if v == "worse past bound"]
+    for name in DIAGNOSTICS:
+        values = {side: [sides[side][p].get(name) for p in pairs] for side in sides}
+        if None not in values["parent"] + values["change"]:
+            out.setdefault("diagnostics", {})[name] = {
+                "medians": {side: round(statistics.median(v), 5) for side, v in values.items()}}
     return out
 
 

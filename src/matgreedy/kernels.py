@@ -1,11 +1,11 @@
 """Batched integer kernels: k-subset masks, bit counts, mod-p elimination and
 null bases, column-subset ranks, code-word supports, circuit ranks, closures,
-meet, cycle and rank tables, containment tests, weighted sums and intersections.
+meet, cycle, rank and subset-sum tables, containment tests, sums and meets.
 
 Each kernel treats a whole batch of subset masks with numpy array operations.
 Batches are split into chunks so that no temporary holds more than about
-CHUNK_ENTRIES 8-byte entries.  A circuit list with 2^n <= CHUNK_ENTRIES is
-read from tables over all 2^n masks instead.
+CHUNK_ENTRIES 8-byte entries.  Circuit lists and word counts with 2^n <=
+CHUNK_ENTRIES are read from tables over all 2^n masks instead.
 
 Matrices are int64 row-major with entries reduced mod p (p < 2^16, so every
 intermediate product fits in int64).  A standard-form basis has the identity
@@ -261,16 +261,24 @@ def circuit_ranks(masks, circuits, n):
     return popcounts(indep)
 
 
-def _spread_up(table, n):
-    """A table over all 2^n masks with each entry ORed into those of the
-    masks above it, one bit at a time; each half of the bits is moved to the
-    top of the index first, so that every pass runs over long blocks."""
+def _spread_up(table, n, combine=np.bitwise_or):
+    """A table over all 2^n masks with each entry combined (ORed by default)
+    into those of the masks above it, one bit at a time; each half of the bits
+    is moved to the top of the index first, so every pass runs over long blocks."""
     for size in (n // 2, n - n // 2):
         table = table.reshape(-1, 1 << size).T.ravel()
         for b in range(n - size, n):
             halves = table.reshape(-1, 2, 1 << b)
-            np.bitwise_or(halves[:, 0], halves[:, 1], out=halves[:, 1])
+            combine(halves[:, 0], halves[:, 1], out=halves[:, 1])
     return table
+
+
+def subset_sum_table(subsets, weights, n):
+    """subset_sums of every mask below 2^n against distinct subsets, indexed
+    by mask: the weights placed at their masks and added upward."""
+    out = np.zeros(1 << n, dtype=np.int64)
+    out[subsets] = weights
+    return _spread_up(out, n, np.add)
 
 
 def circuit_meet_table(circuits, n):

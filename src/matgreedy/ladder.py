@@ -69,10 +69,10 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
     Every structural layer starts here, so here a circuit list, or its dual,
     is refused unless M.check_elimination passes.  Uniform matroids return
     the analytic list, whose size the cap bounds.  Otherwise circuits are
-    found in that order, skipping supersets of circuits found,
-    as the minimal supports of the p^(n-r) words of ker A for the matroid of
-    a matrix A, or as the dependent sets among all subsets of at most r + 1
-    elements, whichever list is shorter; the cap bounds it before it is built.
+    the supports of nullity 1 among the p^(n-r) words of ker A for the
+    matroid of a matrix A, or the dependent sets among the subsets of at most
+    r + 1 elements whose one-smaller subsets are all independent, whichever
+    list is shorter; the cap bounds it before it is built.
     """
     M.check_elimination(cap)
     if M._circuits is not None:
@@ -90,16 +90,32 @@ def circuits(M: Matroid, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, ...]:
     words = M.p ** (M.n - M.full_rank) if isinstance(M, LinearMatroid) else examined
     if min(words, examined) > cap:
         raise CapExceeded(f"circuit enumeration examined more than {cap} subsets")
-    if by_words := words < examined:
-        supports = M.kernel_words[0]
-        sizes = kernels.popcounts(supports)
-    found = np.zeros(0, dtype=np.uint64)
-    for size in range(1, max_size + 1):
-        sets = supports[sizes == size] if by_words else kernels.subsets(M.n, size)
-        sets = sets[~kernels.contains_any(sets, found)]
-        # a support is dependent, so a minimal one is a circuit
-        found = np.concatenate([found, sets if by_words else sets[M.ranks(sets) < size]])
-    M._circuits = tuple(found.tolist())
+    if words < examined:
+        # a word's support is a circuit iff its nullity is 1: the only words
+        # inside it are then the multiples of that word
+        supports = M.kernel_words[0][1:]  # [0] is the zero word's empty support
+        supports = supports[kernels.popcounts(supports) <= max_size]
+        found = supports[kernels.popcounts(supports) - M.ranks(supports) == 1]
+    else:
+        parts, indep = [np.zeros(0, dtype=np.uint64)], np.zeros(1, dtype=np.uint64)
+        bits = np.uint64(1) << np.arange(M.n, dtype=np.uint64)
+        step = max(1, kernels.CHUNK_ENTRIES // max(1, M.n))
+        for size in range(1, max_size + 1):
+            sets = kernels.subsets(M.n, size)
+            # a set holds a smaller circuit iff one of its one-smaller subsets
+            # is dependent: it is ranked only if they are all independent sets found
+            clean = np.empty(sets.size, dtype=bool)
+            for start in range(0, sets.size, step):
+                part = sets[start : start + step, None]
+                smaller = (part ^ bits)[(part & bits) != 0]
+                held = kernels.lookup(indep, smaller)[1].reshape(-1, size)
+                clean[start : start + step] = held.all(axis=1)
+            sets = sets[clean]
+            dependent = M.ranks(sets) < size
+            parts.append(sets[dependent])
+            indep = sets[~dependent]
+        found = np.concatenate(parts)
+    M._circuits = tuple(found[kernels.popcounts(found).argsort(kind="stable")].tolist())
     return M._circuits
 
 

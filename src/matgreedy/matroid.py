@@ -5,8 +5,8 @@ A matroid's ground set and rank function never change after construction;
 only its circuit and ladder caches are written, by ladder.py.  Each kind
 answers rank queries for a whole batch of subsets at once.  A linear matroid
 holds its row space and kernel as two standard-form bases from one
-reduction; it counts the words of the shorter one when few words need
-listing, and otherwise eliminates the queried columns of the row space.
+reduction; it counts the shorter one's words, off one table for n <= 14,
+when few need listing, and otherwise eliminates queried row-space columns.
 Labels are 1-based throughout.
 """
 
@@ -112,6 +112,7 @@ class LinearMatroid(Matroid):
     1991), and eliminate columns of basis if not:
     r - rank(X) = log_p #{w in rowspace(A) : supp w inside E - X} and
     |X| - rank(X) = log_p #{w in ker(A) : supp w inside X}.
+    The counts of all 2^n masks form one table when 2^n <= CHUNK_ENTRIES.
     """
 
     kind = "linear"
@@ -137,19 +138,34 @@ class LinearMatroid(Matroid):
             return True, *kernels.distinct(kernels.word_supports(self.basis, self.p), counts=True)
         return False, *self.kernel_words
 
-    def _ranks(self, masks: np.ndarray) -> np.ndarray:
-        if self._words is None:
-            return kernels.column_ranks(self.basis, self.units, masks, self.p)
-        row_side, supports, counts = self._words
+    @cached_property
+    def _table(self) -> np.ndarray | None:
+        """Ranks of all 2^n masks, when words are counted and 2^n <= CHUNK_ENTRIES."""
+        if self._words is None or 1 << self.n > kernels.CHUNK_ENTRIES:
+            return None
+        found = kernels.subset_sum_table(*self._words[1:], self.n)
+        # on the row side a mask reads the count at its complement
+        every = np.arange(1 << self.n, dtype=np.uint64)
+        return self._counted(every, found[::-1] if self._words[0] else found)
+
+    def _counted(self, masks: np.ndarray, found: np.ndarray) -> np.ndarray:
+        """Ranks of masks from the counts of the words found for them."""
         r = self.full_rank
-        inside = np.uint64(full_mask(self.n)) ^ masks if row_side else masks
-        found = kernels.subset_sums(inside, supports, counts)
         # the words found form a subspace, so their count is a power of p
         powers = self.p ** np.arange(min(r, self.n - r) + 1)
         dims = np.searchsorted(powers, found)
         require(np.array_equal(powers[np.minimum(dims, powers.size - 1)], found),
                 "a count of code words is not a power of p")
-        return (r if row_side else kernels.popcounts(masks)) - dims
+        return (r if self._words[0] else kernels.popcounts(masks)) - dims
+
+    def _ranks(self, masks: np.ndarray) -> np.ndarray:
+        if self._table is not None:
+            return self._table[masks]
+        if self._words is None:
+            return kernels.column_ranks(self.basis, self.units, masks, self.p)
+        row_side, supports, counts = self._words
+        inside = np.uint64(full_mask(self.n)) ^ masks if row_side else masks
+        return self._counted(masks, kernels.subset_sums(inside, supports, counts))
 
     def dual(self) -> "Matroid":
         free = np.delete(np.arange(self.n), self.units)
@@ -335,21 +351,27 @@ def validate_axioms(M: Matroid, seed: int = 0, samples: int = 4096) -> AxiomRepo
 
     Exhaustive for n <= 12 via the local forms: monotone and submodular set
     functions are characterized by their one/two-element increments, so a
-    clean local scan proves the global axioms.  Larger ground sets are
-    checked on randomly sampled subsets.  Each increment is tested for all
-    sets at once, elements of X included: those leave the rank unchanged and
-    so pass every check.  M.ranks is asked once, for every set read.
+    clean local scan proves the global axioms; the increments
+    up[b, X] = r(X + b) - r(X) are differences of the halves of the 2^n ranks.
+    Larger ground sets are checked on randomly sampled subsets.  R3 at X and
+    a < b is up[b, X + a] > up[b, X].  Each increment is tested for all sets
+    at once, elements of X included: those leave the rank unchanged and so
+    pass every check.  A set failing R1 is read as a neighbour, never checked
+    as X.  M.ranks is asked once, for every set read.
     """
     n = M.n
     exhaustive = n <= 12
     bits = [1 << b for b in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # X, X+a and X+a+b for every X checked and elements a < b
-    grow = np.array([0, *bits, *(bits[i] | bits[j] for i, j in pairs)], dtype=np.uint64)
     if exhaustive:
         sets = np.arange(1 << n, dtype=np.uint64)
-        rx = table = M.ranks(sets)
+        rx = M.ranks(sets)
+        up = np.zeros((n, 1 << n), dtype=np.int64)  # zero where b is in X
+        for b in range(n):  # the halves of the table without and with b
+            up[b].reshape(-1, 2, 1 << b)[:, 0] = np.diff(rx.reshape(-1, 2, 1 << b), axis=1)[:, 0]
     else:
+        # X, X+a and X+a+b for every X checked and elements a < b
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        grow = np.array([0, *bits, *(bits[i] | bits[j] for i, j in pairs)], dtype=np.uint64)
         rng = np.random.default_rng(seed)
         # int64 draws hold 63 bits; element 64 comes from a second, later draw,
         # so on up to 63 elements the sets are those of the first draw alone
@@ -372,32 +394,36 @@ def validate_axioms(M: Matroid, seed: int = 0, samples: int = 4096) -> AxiomRepo
             np.copyto(grid[k], grid[1 + j], where=held[1 + i])
             np.copyto(grid[k], grid[1 + i], where=held[1 + j] & ~held[1 + i])
         rx = grid[0]
+        up = grid[1 : n + 1] - rx
 
     report = AxiomReport(n=n, exhaustive=exhaustive, checked_sets=len(sets))
     found = report.violations
     card = kernels.popcounts(sets)
-    bad = (rx < 0) | (rx > card)
-    for x, r, c in zip(sets[bad].tolist(), rx[bad].tolist(), card[bad].tolist()):
+    keep = (rx >= 0) & (rx <= card)
+    for x, r, c in zip(sets[~keep].tolist(), rx[~keep].tolist(), card[~keep].tolist()):
         found.append(f"R1: r({to_labels(x)}) = {r} outside [0, {c}]")
-    keep = ~bad
-    sets, rx = sets[keep], rx[keep]
-
-    def rank_row(k: int) -> np.ndarray:
-        return table[sets | grow[k]] if exhaustive else grid[k, keep]
-
-    grown = [rank_row(1 + b) for b in range(n)]
-    for b, r1 in zip(bits, grown):
-        for x in sets[r1 < rx].tolist():
-            found.append(f"R2: r({to_labels(x | b)}) < r({to_labels(x)})")
-        for x in sets[r1 > rx + 1].tolist():
-            found.append(f"unit increase: r({to_labels(x | b)}) > r({to_labels(x)}) + 1")
-    for k, (i, j) in enumerate(pairs, 1 + n):
-        rab = rank_row(k)
-        for x in sets[grown[i] + grown[j] < rab + rx].tolist():
-            at = f"X={to_labels(x)}, a={to_labels(bits[i])}, b={to_labels(bits[j])}"
-            found.append(f"R3: submodularity fails at {at}")
-            # nullity supermodularity is the mirrored local inequality
-            found.append(f"nullity supermodularity fails at {at}")
+    drops, jumps = (up < 0) & keep, (up > 1) & keep
+    for b in np.flatnonzero((drops | jumps).any(axis=1)).tolist():
+        for x in sets[drops[b]].tolist():
+            found.append(f"R2: r({to_labels(x | bits[b])}) < r({to_labels(x)})")
+        for x in sets[jumps[b]].tolist():
+            found.append(f"unit increase: r({to_labels(x | bits[b])}) > r({to_labels(x)}) + 1")
+    for a in range(n - 1):
+        if exhaustive:
+            # column X + a of up is column X shifted by 2^a, for each X without a
+            shift = 1 << a
+            xs, holds_a = sets[:-shift], (sets[shift:] & np.uint64(shift)) != 0
+            fails = (up[a + 1 :, shift:] > up[a + 1 :, :-shift]) & holds_a & keep[:-shift]
+        else:
+            xs, row = sets, 1 + n + a * (2 * n - a - 1) // 2  # the grid's row of (a, a + 1)
+            fails = (grid[row : row + n - a - 1] - grid[1 + a] > up[a + 1 :]) & keep
+        if fails.any():
+            for b, hit in enumerate(fails, a + 1):
+                for x in xs[hit].tolist():
+                    at = f"X={to_labels(x)}, a={to_labels(bits[a])}, b={to_labels(bits[b])}"
+                    found.append(f"R3: submodularity fails at {at}")
+                    # nullity supermodularity is the mirrored local inequality
+                    found.append(f"nullity supermodularity fails at {at}")
     return report
 
 

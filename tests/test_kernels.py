@@ -4,6 +4,8 @@ against the exhaustive-scan oracle on a seeded corpus of larger matroids."""
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
@@ -21,11 +23,12 @@ from matgreedy.masks import full_mask, popcount
 from matgreedy.matroid import (
     WORD_CAP,
     DualMatroid,
+    LinearMatroid,
     from_circuits,
     from_generator,
     from_parity_check,
 )
-from tests.conftest import FIXTURES, TERNARY84_GENERATOR_ROWS, corpus_small
+from tests.conftest import FIXTURES, TERNARY84_GENERATOR_ROWS, corpus_small, random_field_matrix
 from tests.ladder_oracle import bruteforce_ladder, filter_minimal
 from tests.paper_oracle import columns, field_rank
 
@@ -309,6 +312,60 @@ def test_word_cap_decides_the_rank_route(monkeypatch):
         assert (M._words is not None) is counted and bool(eliminated) is not counted
 
 
+def per_batch_ranks(M: LinearMatroid) -> np.ndarray:
+    """M's ranks of all 2^n masks, counted batch-wise from its word list
+    by kernels.subset_sums, with no table."""
+    fresh = LinearMatroid(M.p, M.basis, M.units, M.kernel)
+    fresh.__dict__["_table"] = None  # planted ahead of the cached property
+    return fresh.ranks(np.arange(1 << M.n, dtype=np.uint64))
+
+
+def test_linear_rank_table_matches_the_per_batch_word_count():
+    rng = np.random.default_rng(2626)
+    sides = set()
+    for trial in range(90):
+        p, n = (2, 3, 5)[trial % 3], int(rng.integers(1, 15))
+        M = from_parity_check(random_field_matrix(rng, p, int(rng.integers(1, n + 1)), n))
+        for side in (M, M.dual()):
+            if side._words is None:  # more than WORD_CAP words on both sides
+                assert side._table is None
+                continue
+            sides.add((p, side._words[0]))
+            assert np.array_equal(side._table, per_batch_ranks(side))
+    assert sides == {(p, row_side) for p in (2, 3, 5) for row_side in (True, False)}
+
+
+TABLE_GUARDS = (
+    "import numpy as np\n"
+    "from matgreedy.errors import InvariantError\n"
+    "from matgreedy.gfp import FieldMatrix\n"
+    "from matgreedy.matroid import from_parity_check\n"
+    "M = from_parity_check(FieldMatrix(3, [[1, 1, 0, 2], [0, 1, 1, 1]]))\n"
+    "row_side, supports, counts = M._words\n"
+    "# the zero word counted twice: no mask's count is then a power of 3\n"
+    "M.__dict__['_words'] = (row_side, supports, counts + (supports == 0))\n"
+    "try:\n"
+    "    M._table\n"
+    "except InvariantError as exc:\n"
+    "    print('refused:', exc)\n"
+    "big = from_parity_check(FieldMatrix(2, [[1] * 15]))\n"
+    "ranks = big.ranks(np.arange(1 << 15, dtype=np.uint64))\n"
+    "print(big._words is not None, big._table is None, ranks.tolist() == [0] + [1] * 32767)\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_linear_rank_table_guards_its_counts_and_stops_at_14(flags):
+    # the power-of-p check is an InvariantError, not an assert, so python -O
+    # keeps it; 2^15 masks exceed CHUNK_ENTRIES, so n = 15 counts per batch
+    done = subprocess.run([sys.executable, *flags, "-c", TABLE_GUARDS], capture_output=True,
+                          text=True, cwd=FIXTURES.parent)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "refused: a count of code words is not a power of p", "True True True",
+    ]
+
+
 @pytest.mark.parametrize("fixture, most", [
     ("ternary84_parity.json", 1), ("ternary84.json", 1), ("ternary84_code.txt", 1),
     ("ternary84_dual.json", 1), ("p65521.json", 1), ("ternary84_parity_code.txt", 1),
@@ -394,6 +451,26 @@ def test_circuit_routes_priced_before_any_work(monkeypatch):
     found = circuits(code, cap=32)
     assert len(found) == 31 and {popcount(c) for c in found} == {16}
     assert code.full_rank == 26 and code._words[0] is False
+
+
+def test_subset_route_looks_up_one_smaller_subsets_in_chunks(tmp_path, monkeypatch):
+    # the Hamming [31,26] parity check is priced to its 942,648 subsets of at
+    # most 6 elements; each is ranked only if its one-smaller subsets are all
+    # independent, looked up in chunks of at most CHUNK_ENTRIES keys
+    simplex = [[j >> i & 1 for j in range(1, 32)] for i in range(5)]
+    keys = []
+    real = kernels.lookup
+    monkeypatch.setattr(kernels, "lookup", lambda t, k: keys.append(k.size) or real(t, k))
+    found = circuits(from_parity_check(FieldMatrix(2, simplex)))
+    assert len(found) == 20_336 and max(keys) <= kernels.CHUNK_ENTRIES
+    # C(31, 3) / 3 triples of columns summing to zero, then the 4-6 circuits
+    sizes = [popcount(c) for c in found]
+    assert sizes == sorted(sizes) and sizes.count(3) == comb(31, 2) // 3
+    # the 20,336^2 level-2 unions are still past the cap
+    path = tmp_path / "hamming_31_26.json"
+    path.write_text(json.dumps({"type": "linear", "p": 2, "matrix": simplex}))
+    assert run(RunConfig("weights", str(path))) == (
+        3, "cap exceeded: ladder generation examined more than 5000000 candidate unions\n")
 
 
 def test_batched_ranks_match_single_queries(ternary84):

@@ -8,6 +8,7 @@ import pytest
 
 from matgreedy import kernels
 from matgreedy import matroid as matroid_mod
+from matgreedy.cli import _load_input
 from matgreedy.errors import CapExceeded, InputError
 from matgreedy.gfp import FieldMatrix
 from matgreedy.ladder import circuits
@@ -23,7 +24,9 @@ from matgreedy.matroid import (
     uniform,
     validate_axioms,
 )
+from tests.axiom_oracle import gathered_axioms
 from tests.conftest import (
+    FIXTURES,
     TERNARY84_GENERATOR_ROWS,
     elimination_failure,
     random_code,
@@ -353,6 +356,55 @@ def test_validate_axioms_detects_submodularity_violation():
     report = validate_axioms(TableMatroid(2, table))
     assert not report.ok
     assert any("R3" in v or "R2" in v for v in report.violations)
+
+
+class ArrayMatroid(Matroid):
+    """Ranks read off an int64 array over all 2^n masks, whatever they are."""
+
+    kind = "table"
+
+    def __init__(self, table: np.ndarray):
+        super().__init__(table.size.bit_length() - 1)
+        self.table = table
+
+    def _ranks(self, masks: np.ndarray) -> np.ndarray:
+        return self.table[masks]
+
+
+def test_axiom_scan_matches_the_gathered_scan_on_perturbed_tables():
+    # rank tables of random matroids on 0-9 elements with a few entries
+    # moved: out of bounds (negative too), or in bounds but breaking R2 or R3
+    rng = np.random.default_rng(2600)
+    seen = {"R1": 0, "negative": 0, "R2": 0, "unit": 0, "R3": 0, "clean": 0}
+    for trial in range(320):
+        n = int(rng.integers(0, 10))
+        M = random_matroid(rng, n) if n >= 2 else uniform(int(rng.integers(0, n + 1)), n)
+        table = M.ranks(np.arange(1 << n, dtype=np.uint64)).copy()
+        for at in rng.integers(0, 1 << n, size=int(rng.integers(0, 4))):
+            table[at] += int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        if trial % 5 == 0:
+            table[rng.integers(0, 1 << n)] = -1
+        got, want = validate_axioms(ArrayMatroid(table)), gathered_axioms(ArrayMatroid(table))
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.exhaustive and got.checked_sets == 1 << n
+        seen["negative"] += bool((table < 0).any())
+        seen["clean"] += got.ok
+        for kind in ("R1", "R2", "unit", "R3"):
+            seen[kind] += any(v.startswith(kind) for v in got.violations)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_axiom_scan_matches_the_gathered_scan_on_fixtures():
+    small = []
+    for path in sorted(FIXTURES.iterdir()):
+        M = _load_input(str(path))[0]
+        if M.n <= 12:
+            small.append(path.name)
+            table = M.ranks(np.arange(1 << M.n, dtype=np.uint64))
+            want = gathered_axioms(ArrayMatroid(table)).to_json_dict()
+            assert validate_axioms(M).to_json_dict() == want == gathered_axioms(M).to_json_dict()
+            assert want["ok"]
+    assert {"ternary84.json", "ternary84_code.txt", "p65521.json", "uniform_2_4.json"} <= set(small)
 
 
 def rank6_with_loops_table(n: int) -> dict[int, int]:
